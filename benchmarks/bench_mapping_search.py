@@ -2,7 +2,8 @@
 
 Paper: an extreme stress case completes within 47 s single-threaded;
 the evaluation's real cases take a few seconds.  Our exact search
-enumerates all 40320 mappings of an 8-GPU server.
+covers all 40320 mappings of an 8-GPU server but scores only the
+lex-smallest of each orbit under DGX-1's 16 lane automorphisms: 2520.
 """
 
 from repro.core.device_mapping import search_device_mapping
@@ -23,7 +24,7 @@ def test_mapping_search_wall_time(benchmark):
     print()
     print(f"exact search: {result.mappings_evaluated} mappings, "
           f"placed {result.placed_fraction:.2f}, map {result.device_map}")
-    assert result.mappings_evaluated == 40320
+    assert result.mappings_evaluated == 2520
     # Overflow (84 GiB) exceeds spare (68 GiB); the search must place
     # everything the spare can hold.
     assert result.placed_fraction > 0.78
@@ -38,4 +39,7 @@ def test_greedy_search_is_cheaper(benchmark):
         return search_device_mapping(topology, overflow, spare, mode="greedy")
 
     result = benchmark.pedantic(greedy, rounds=3, iterations=1)
-    assert result.mappings_evaluated == 5040
+    # 7! anchored mappings over the 2 automorphisms fixing device 0:
+    # as many as the exact search scores, since DGX-1's symmetry is
+    # transitive on devices.
+    assert result.mappings_evaluated == 2520

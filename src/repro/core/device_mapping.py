@@ -10,6 +10,24 @@ ratio of revenue (overflow bytes placed, weighted toward the most
 pressured exporters) to cost (the maximal exporter D2D transfer
 time) — higher is better (Fig. 6, line 22).
 
+The enumeration is exact but pruned by the topology's symmetry.  A
+score reads the topology only through the n×n lane matrix ``L``, so
+an automorphism ``g`` of that matrix (``L[g[a]][g[b]] == L[a][b]``
+for all devices) turns mapping ``m`` into ``g∘m`` with the same lane
+count between every pair of stages, and both score bit-identically.
+The search therefore scores only the lexicographically smallest
+mapping of each orbit: a depth-first walk in lex order keeps a prefix
+only if its newest device is the smallest in its orbit under the
+automorphisms fixing the earlier devices pointwise.  DGX-1's hybrid
+cube-mesh has 16 automorphisms, so 40,320 / 16 = 2,520 mappings are
+scored.  The answer is unchanged: the search keeps the first strict
+maximum in lex order, and that mapping is the smallest of its own
+orbit (a smaller orbit member would score the same and come first),
+so it is never pruned.  The same holds for a ``max_mappings`` cut,
+since the first K permutations contain every lex-smaller orbit
+member of each one, and for greedy mode, whose anchored mappings are
+closed under the automorphisms fixing device 0.
+
 On symmetric (switched) topologies every mapping is equivalent, so
 the search short-circuits to the identity mapping, as the paper
 notes ("randomly maps stages to devices and aggressively uses all
@@ -18,12 +36,14 @@ NVLinks").
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import MappingError
 from repro.hardware.topology import Topology
+
+LaneMatrix = List[List[int]]
 
 
 @dataclass(frozen=True)
@@ -34,7 +54,7 @@ class MappingResult:
     score: float
     placed_fraction: float                      # overflow bytes with a home
     assignments: Dict[int, Dict[int, int]]      # exporter stage -> {importer stage: bytes}
-    mappings_evaluated: int = 0
+    mappings_evaluated: int = 0                 # mappings actually scored
 
     def importer_budget(self, importer_stage: int) -> int:
         """Total bytes assigned into one importing stage."""
@@ -59,21 +79,27 @@ class _Evaluation:
     max_transfer_seconds: float
 
 
-def assign_spare_memory(
-    topology: Topology,
-    device_map: Tuple[int, ...],
-    overflow: List[int],
-    spare: List[int],
+def _lane_matrix(topology: Topology) -> LaneMatrix:
+    """``L[a][b]``: lanes usable for a device a -> device b transfer."""
+    devices = range(topology.n_gpus)
+    return [[topology.lanes(a, b) for b in devices] for a in devices]
+
+
+def _water_fill(
+    lane_matrix: LaneMatrix,
+    lane_bandwidth: float,
+    device_map: Sequence[int],
+    overflow: Sequence[int],
+    spare: Sequence[int],
 ) -> _Evaluation:
     """Spare-memory assignment for one fixed mapping (Fig. 6, assign_mem).
 
     Exporters claim importer spare in order of decreasing overflow,
     splitting each exporter's demand across its NVLink neighbours
     proportionally to lane counts (water-filling against remaining
-    budgets).
+    budgets).  Lane counts come from ``lane_matrix`` only.
     """
     n = len(device_map)
-    lane_bandwidth = topology.nvlink.sustained_bandwidth
     remaining = {s: spare[s] for s in range(n) if spare[s] > 0}
     assignments: Dict[int, Dict[int, int]] = {}
     total_overflow = sum(overflow)
@@ -85,11 +111,11 @@ def assign_spare_memory(
         (s for s in range(n) if overflow[s] > 0), key=lambda s: -overflow[s]
     )
     for exporter in exporters:
-        e_dev = device_map[exporter]
+        row = lane_matrix[device_map[exporter]]
         lanes = {
-            imp: topology.lanes(e_dev, device_map[imp])
+            imp: row[device_map[imp]]
             for imp in remaining
-            if topology.lanes(e_dev, device_map[imp]) > 0
+            if row[device_map[imp]] > 0
         }
         if not lanes:
             continue
@@ -132,7 +158,7 @@ def assign_spare_memory(
         weight = overflow[exporter] / total_overflow if total_overflow else 0.0
         weighted_revenue += placed * (1.0 + weight)
         seconds = max(
-            amount / (topology.lanes(e_dev, device_map[imp]) * lane_bandwidth)
+            amount / (lanes[imp] * lane_bandwidth)
             for imp, amount in alloc.items()
         )
         max_seconds = max(max_seconds, seconds)
@@ -143,6 +169,23 @@ def assign_spare_memory(
         placed_fraction=placed_fraction,
         weighted_revenue=weighted_revenue,
         max_transfer_seconds=max_seconds,
+    )
+
+
+def assign_spare_memory(
+    topology: Topology,
+    device_map: Tuple[int, ...],
+    overflow: List[int],
+    spare: List[int],
+) -> _Evaluation:
+    """Spare-memory assignment for one fixed mapping (Fig. 6, assign_mem).
+
+    The same water-fill the search scores, so the planner's
+    per-exporter pots match the searched mapping.
+    """
+    return _water_fill(
+        _lane_matrix(topology), topology.nvlink.sustained_bandwidth,
+        device_map, overflow, spare,
     )
 
 
@@ -163,9 +206,11 @@ def search_device_mapping(
     """Find the stage-to-device mapping that best serves D2D swap.
 
     ``overflow[s]``/``spare[s]`` are the stage's demand beyond / slack
-    under device capacity.  ``mode`` is ``"exact"`` (full
-    enumeration), ``"greedy"`` (anchored enumeration fixing stage 0),
-    or ``"auto"`` (exact for <= 8 devices, greedy beyond).
+    under device capacity.  ``mode`` is ``"exact"`` (all mappings),
+    ``"greedy"`` (mappings fixing stage 0 on device 0), or ``"auto"``
+    (exact for <= 8 devices, greedy beyond).  ``max_mappings`` limits
+    the search to that many leading permutations in lex order; either
+    way only one mapping per topology symmetry class is scored.
     """
     n = topology.n_gpus
     if len(overflow) != n or len(spare) != n:
@@ -173,9 +218,11 @@ def search_device_mapping(
     if mode not in ("auto", "exact", "greedy"):
         raise MappingError(f"unknown search mode {mode!r}")
 
+    lanes = _lane_matrix(topology)
+    lane_bandwidth = topology.nvlink.sustained_bandwidth
     identity = tuple(range(n))
     if topology.is_symmetric or not any(o > 0 for o in overflow):
-        evaluation = assign_spare_memory(topology, identity, overflow, spare)
+        evaluation = _water_fill(lanes, lane_bandwidth, identity, overflow, spare)
         return MappingResult(
             device_map=list(identity),
             score=_score(evaluation),
@@ -189,8 +236,11 @@ def search_device_mapping(
 
     best = _Candidate()
     evaluated = 0
-    for device_map in _mappings(n, mode, max_mappings):
-        evaluation = assign_spare_memory(topology, device_map, overflow, spare)
+    mappings = _orbit_representatives(
+        _automorphisms(lanes), anchored=mode == "greedy", limit=max_mappings
+    )
+    for device_map in mappings:
+        evaluation = _water_fill(lanes, lane_bandwidth, device_map, overflow, spare)
         evaluated += 1
         score = _score(evaluation)
         if score > best.score:
@@ -211,17 +261,80 @@ def search_device_mapping(
     )
 
 
-def _mappings(n: int, mode: str, max_mappings: Optional[int]):
-    if mode == "exact":
-        source = itertools.permutations(range(n))
-    else:
-        # Greedy mode anchors stage 0 on device 0 — DGX-class
-        # topologies are near-symmetric under relabeling, so this
-        # prunes a factor of n while rarely losing the optimum.
-        source = (
-            (0,) + rest for rest in itertools.permutations(range(1, n))
-        )
-    for count, mapping in enumerate(source):
-        if max_mappings is not None and count >= max_mappings:
+def _automorphisms(lanes: LaneMatrix) -> List[Tuple[int, ...]]:
+    """Every device relabeling ``g`` with ``lanes[g[a]][g[b]] == lanes[a][b]``.
+
+    Backtracking assigns images to devices 0, 1, ... in turn and keeps
+    a partial relabeling only while it preserves the lane counts among
+    the devices assigned so far.
+    """
+    n = len(lanes)
+    found: List[Tuple[int, ...]] = []
+    image: List[int] = []
+    used = [False] * n
+
+    def extend(a: int) -> None:
+        if a == n:
+            found.append(tuple(image))
             return
-        yield mapping
+        row = lanes[a]
+        for target in range(n):
+            if used[target]:
+                continue
+            t_row = lanes[target]
+            if t_row[target] != row[a] or any(
+                t_row[image[b]] != row[b] or lanes[image[b]][target] != lanes[b][a]
+                for b in range(a)
+            ):
+                continue
+            used[target] = True
+            image.append(target)
+            extend(a + 1)
+            image.pop()
+            used[target] = False
+
+    extend(0)
+    return found
+
+
+def _orbit_representatives(
+    automorphisms: List[Tuple[int, ...]],
+    anchored: bool,
+    limit: Optional[int],
+) -> Iterator[Tuple[int, ...]]:
+    """Yield, in lex order, the smallest mapping of each orbit.
+
+    ``anchored`` restricts the search to mappings placing stage 0 on
+    device 0 (greedy mode); ``limit`` restricts it to that many leading
+    permutations of the searched set in lex order.  A prefix survives
+    only if each device in it is the smallest image of itself under
+    the automorphisms fixing the devices before it.
+    """
+    n = len(automorphisms[0])
+    # Permutations under one node at each depth, to track lex rank.
+    subtree = [math.factorial(n - 1 - depth) for depth in range(n)]
+    prefix: List[int] = []
+
+    def extend(
+        free: List[int], stabiliser: List[Tuple[int, ...]], rank: int
+    ) -> Iterator[Tuple[int, ...]]:
+        depth = len(prefix)
+        if depth == n:
+            yield tuple(prefix)
+            return
+        choices = free[:1] if anchored and depth == 0 else free
+        for index, device in enumerate(choices):
+            first = rank + index * subtree[depth]
+            if limit is not None and first >= limit:
+                return
+            if any(g[device] < device for g in stabiliser):
+                continue
+            prefix.append(device)
+            yield from extend(
+                [d for d in free if d != device],
+                [g for g in stabiliser if g[device] == device],
+                first,
+            )
+            prefix.pop()
+
+    yield from extend(list(range(n)), automorphisms, 0)

@@ -2,12 +2,19 @@
 
 import pytest
 
-from repro.core.device_mapping import MappingResult, assign_spare_memory, search_device_mapping
+from repro.core.device_mapping import (
+    MappingResult,
+    _automorphisms,
+    _lane_matrix,
+    assign_spare_memory,
+    search_device_mapping,
+)
 from repro.errors import MappingError
 from repro.hardware.topology import dgx1_topology, dgx2_topology
 from repro.units import GiB
 
 from tests.conftest import small_topology
+from tests.mapping_oracle import oracle_search
 
 
 def _gib(values):
@@ -58,7 +65,8 @@ class TestSearch:
         spare = _gib([0, 0, 0, 0.7, 6, 8, 15, 25])
         result = search_device_mapping(topo, overflow, spare, mode="exact")
         assert result.placed_fraction == pytest.approx(1.0)
-        assert result.mappings_evaluated == 40320
+        # One mapping per orbit of DGX-1's 16 lane automorphisms.
+        assert result.mappings_evaluated == 2520
 
     def test_symmetric_topology_short_circuits(self):
         topo = dgx2_topology()
@@ -80,14 +88,45 @@ class TestSearch:
         spare = _gib([0, 0, 0, 0, 2, 2, 2, 2])
         result = search_device_mapping(topo, overflow, spare, mode="greedy")
         assert result.device_map[0] == 0
-        assert result.mappings_evaluated == 5040
+        # 7! anchored mappings over the 2 automorphisms fixing device 0.
+        assert result.mappings_evaluated == 2520
 
     def test_max_mappings_caps_search(self):
         topo = dgx1_topology()
         overflow = _gib([5] + [0] * 7)
         spare = _gib([0, 0, 0, 0, 2, 2, 2, 2])
-        result = search_device_mapping(topo, overflow, spare, mode="exact", max_mappings=100)
-        assert result.mappings_evaluated == 100
+        # The first 720 permutations all start (0, 1), and only the
+        # identity fixes devices 0 and 1.  The next 720 start (0, 2);
+        # the automorphism swapping 1<->2 and 5<->6 maps each onto an
+        # earlier (0, 1, ...) mapping, so none of them is scored.
+        for limit, representatives in ((100, 100), (1000, 720)):
+            result = search_device_mapping(
+                topo, overflow, spare, mode="exact", max_mappings=limit
+            )
+            expected = oracle_search(topo, overflow, spare, "exact",
+                                     max_mappings=limit)
+            assert result.device_map == expected.device_map
+            assert result.score == expected.score
+            assert result.placed_fraction == expected.placed_fraction
+            assert result.assignments == expected.assignments
+            assert result.mappings_evaluated == representatives
+
+    def test_dgx1_scores_one_mapping_per_lane_automorphism_orbit(self):
+        topo = dgx1_topology()
+        lanes = _lane_matrix(topo)
+        group = _automorphisms(lanes)
+        assert len(group) == 16
+        assert len(set(group)) == 16
+        for g in group:
+            assert sorted(g) == list(range(8))
+            for a in range(8):
+                for b in range(8):
+                    assert lanes[g[a]][g[b]] == lanes[a][b]
+        overflow = _gib([30, 24, 18, 12, 0, 0, 0, 0])
+        spare = _gib([0, 0, 0, 0, 8, 12, 20, 28])
+        for mode in ("exact", "greedy"):
+            result = search_device_mapping(topo, overflow, spare, mode=mode)
+            assert result.mappings_evaluated == 2520  # 8! / 16
 
     def test_importer_budget_helper(self):
         result = MappingResult(

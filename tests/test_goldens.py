@@ -57,6 +57,10 @@ GOLDENS = {
                                              6, 3, 1.0),
     "dgx1-pipedream-bert035-none": ("bert", 0.35, "dgx1", "pipedream",
                                     "none", 6, None, 0.0),
+    # The asymmetric DGX-1 routes this plan through the exact 8!
+    # device-mapping search (Fig. 6), so the golden pins its answer.
+    "dgx1-pipedream-bert064-mpress": ("bert", 0.64, "dgx1", "pipedream",
+                                      "mpress", 6, None, 0.0),
 }
 
 
