@@ -30,6 +30,7 @@ class EmulationReport:
     overflowed_devices: List[int]
     saved_by_action: Dict[Action, int]
     result: SimulationResult
+    options: ExecOptions
 
     @property
     def fits(self) -> bool:
@@ -84,6 +85,7 @@ class Emulator:
             overflowed_devices=overflowed,
             saved_by_action=plan.saved_by_action(),
             result=result,
+            options=self.options,
         )
 
     def run_program(self, program: InstrumentedProgram) -> EmulationReport:

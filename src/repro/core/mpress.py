@@ -15,7 +15,7 @@ from repro.core.plan import MemorySavingPlan
 from repro.core.planner import Planner, PlannerConfig, PlannerReport, baseline_config
 from repro.faults.spec import FaultSchedule
 from repro.job import TrainingJob
-from repro.sim.executor import SimulationResult, simulate
+from repro.sim.executor import ExecOptions, SimulationResult, strict_run
 
 
 @dataclass
@@ -72,14 +72,22 @@ class MPress:
         return self._report
 
     def run(self) -> MPressResult:
-        """Plan, then execute under strict memory constraints."""
+        """Plan, then execute under strict memory constraints.
+
+        The planner already emulated the returned plan; when that run
+        never exceeded any device's capacity it *is* the strict run
+        (:func:`~repro.sim.executor.strict_run`), else the plan
+        is replayed afresh.
+        """
         plan = self.build_plan()
-        simulation = simulate(
-            self.job,
-            plan,
+        options = ExecOptions(
             strict=True,
             prefetch_lead=self.config.prefetch_lead,
             faults=self.faults,
+        )
+        emulation = self.planner_report.emulation
+        simulation = strict_run(
+            self.job, plan, options, emulation.result, emulation.options
         )
         return MPressResult(
             job=self.job,
@@ -105,12 +113,15 @@ def run_system(
     planner, so the reserve is advisory there.
     """
     if system == "none":
-        from repro.core.plan import empty_plan
         from repro.core.profiler import Profiler
 
-        plan = empty_plan(job.n_stages)
-        simulation = simulate(job, plan, strict=True, faults=faults)
-        profile = Profiler(job).run()
+        profiler = Profiler(job)
+        profile = profiler.run()
+        plan = profile.baseline.plan
+        simulation = strict_run(
+            job, plan, ExecOptions(faults=faults), profile.baseline,
+            profiler.options,
+        )
         report = PlannerReport(
             profile=profile,
             device_map=plan.device_map,

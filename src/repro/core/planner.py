@@ -101,6 +101,12 @@ class PlannerReport:
     avoided_importers: List[int] = field(default_factory=list)
     pcie_derates: Dict[int, float] = field(default_factory=dict)
     compute_derates: Dict[int, float] = field(default_factory=dict)
+    # The emulated iteration of the returned plan: the tightened
+    # baseline or the last accepted refine trial.  MPress.run reuses
+    # it as the strict run when that is exact (docs/planner.md).
+    emulation: Optional[EmulationReport] = field(
+        default=None, repr=False, compare=False
+    )
 
 
 class Planner:
@@ -191,8 +197,9 @@ class Planner:
         report.initial_time = baseline_report.minibatch_time
         report.feasible = report.feasible and baseline_report.fits
 
+        accepted = baseline_report
         if self.config.allow_d2d:
-            plan, assignments = self._refine(
+            plan, assignments, accepted = self._refine(
                 assignments,
                 plan,
                 baseline_report,
@@ -204,6 +211,7 @@ class Planner:
                 report,
             )
         report.final_time = report.emulation_times[-1]
+        report.emulation = accepted
         report.n_emulations = emulator.n_emulations
         report.n_full_sims = emulator.n_emulations
         return plan, report
@@ -763,14 +771,11 @@ class Planner:
         rewriter: Rewriter,
         emulator: Emulator,
         report: PlannerReport,
-    ) -> Tuple[MemorySavingPlan, Dict[tuple, Assignment]]:
+    ) -> Tuple[MemorySavingPlan, Dict[tuple, Assignment], EmulationReport]:
         """Upgrade worst-overhead assignments to D2D, keeping wins."""
         config = self.config
         blacklist: set = set()
         classes_by_key = {cls.key: cls for cls in profile.classes}
-        best_time = current.minibatch_time
-        best_fits = current.fits
-        best_peaks = current.device_peaks
         for _ in range(config.max_refine_iterations):
             report.refine_iterations += 1
             candidates = self._refine_candidates(
@@ -778,7 +783,7 @@ class Planner:
             )
             if not candidates:
                 break
-            budgets = self._global_headroom(best_peaks)
+            budgets = self._global_headroom(current.device_peaks)
             if config.search == "coarse2fine":
                 candidates = self._coarse_frontier(
                     candidates, classes_by_key, cost_model, budgets,
@@ -804,18 +809,18 @@ class Planner:
             new_plan = self._instrument(rewriter, tentative, device_map)
             trial = emulator.run(new_plan)
             report.emulation_times.append(trial.minibatch_time)
-            improved = trial.minibatch_time < best_time * (1.0 - config.improvement_eps)
-            fits_ok = trial.fits or not best_fits
+            improved = trial.minibatch_time < current.minibatch_time * (
+                1.0 - config.improvement_eps
+            )
+            fits_ok = trial.fits or not current.fits
             if improved and fits_ok:
                 assignments = tentative
                 plan = new_plan
-                best_time = trial.minibatch_time
-                best_fits = trial.fits
-                best_peaks = trial.device_peaks
+                current = trial
                 report.accepted_upgrades += len(upgraded)
             else:
                 blacklist.update(upgraded)
-        return plan, assignments
+        return plan, assignments, current
 
     def _coarse_frontier(
         self,

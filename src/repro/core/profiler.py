@@ -16,7 +16,8 @@ from repro.core.plan import empty_plan
 from repro.graph.liveness import LiveInterval, live_intervals
 from repro.graph.tensor import TensorClass, TensorKind, tensor_classes_for
 from repro.job import TrainingJob
-from repro.sim.executor import SimulationResult, simulate
+from repro.sim.executor import PipelineExecutor, SimulationResult
+from repro.sim.ir import ExecOptions
 
 
 @dataclass
@@ -78,13 +79,17 @@ class ProfileStats:
 class Profiler:
     """Runs the profiling iteration and assembles :class:`ProfileStats`."""
 
+    # The profiling run's options; ``run_system("none")`` checks them
+    # before reusing the run as its strict one.
+    options = ExecOptions(strict=False)
+
     def __init__(self, job: TrainingJob):
         self.job = job
 
     def run(self) -> ProfileStats:
         job = self.job
         plan = empty_plan(job.n_stages)
-        result = simulate(job, plan, strict=False)
+        result = PipelineExecutor(job, plan, self.options).run()
         classes = tensor_classes_for(
             job.stage_plan, job.schedule, job.microbatch_size, job.bytes_per_element
         )

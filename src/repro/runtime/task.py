@@ -33,7 +33,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.autoplan.search import AutoPlanConfig
 from repro.core.plan import MemorySavingPlan
@@ -226,6 +226,27 @@ def trace_digest(trace) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _trace_digester() -> Callable[[object], str]:
+    """:func:`trace_digest` of a simulation, once per distinct trace.
+
+    Congruent chains and replicas share one simulation result, so a
+    cluster or hybrid record names the same trace many times.  The
+    memo holds each trace it keys on by identity, so an id is never
+    reused while it lives; it lives only as long as the one record
+    being built, never as module state (``repro serve`` is long-lived).
+    """
+    digests: Dict[int, Tuple[object, str]] = {}
+
+    def digest(simulation) -> str:
+        trace = simulation.trace
+        entry = digests.get(id(trace))
+        if entry is None:
+            entry = digests[id(trace)] = (trace, trace_digest(trace))
+        return entry[1]
+
+    return digest
+
+
 def execute_task(task: SimTask) -> Dict:
     """Run one task to completion and lower the outcome to a record.
 
@@ -315,6 +336,7 @@ def _execute_hybrid(task: SimTask) -> Dict:
 
     result = run_hybrid(task.job, task.hybrid, system=task.system)
     ok = result.ok
+    digest = _trace_digester()
     return {
         "version": RECORD_VERSION,
         "label": task.label,
@@ -331,7 +353,7 @@ def _execute_hybrid(task: SimTask) -> Dict:
         ),
         "plan": None,
         "trace_digest": (
-            trace_digest(result.replicas[0].simulation.trace) if ok else None
+            digest(result.replicas[0].simulation) if ok else None
         ),
         "n_trace_events": (
             len(result.replicas[0].simulation.trace.events) if ok else 0
@@ -360,8 +382,7 @@ def _execute_hybrid(task: SimTask) -> Dict:
                 for sync in result.stage_allreduce
             ],
             "replica_trace_digests": [
-                trace_digest(replica.simulation.trace)
-                if replica.ok else None
+                digest(replica.simulation) if replica.ok else None
                 for replica in result.replicas
             ],
         },
@@ -413,6 +434,7 @@ def _execute_cluster(task: SimTask) -> Dict:
                          system=task.system)
     ok = result.ok
     first = result.chains[0][0]
+    digest = _trace_digester()
     return {
         "version": RECORD_VERSION,
         "label": task.label,
@@ -429,9 +451,7 @@ def _execute_cluster(task: SimTask) -> Dict:
             for replica in result.chains for chain in replica
         ),
         "plan": None,
-        "trace_digest": (
-            trace_digest(first.simulation.trace) if ok else None
-        ),
+        "trace_digest": digest(first.simulation) if ok else None,
         "n_trace_events": (
             len(first.simulation.trace.events) if ok else 0
         ),
@@ -478,7 +498,7 @@ def _execute_cluster(task: SimTask) -> Dict:
             ],
             "chain_trace_digests": [
                 [
-                    trace_digest(chain.simulation.trace) if chain.ok else None
+                    digest(chain.simulation) if chain.ok else None
                     for chain in replica
                 ]
                 for replica in result.chains

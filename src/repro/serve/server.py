@@ -25,6 +25,7 @@ API (all JSON; see docs/serving.md):
 from __future__ import annotations
 
 import json
+import math
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -242,8 +243,24 @@ class _Handler(BaseHTTPRequestHandler):
         except BrokenPipeError:     # pragma: no cover — client went away
             self.close_connection = True
 
+    def _content_length(self) -> int:
+        """The request's ``Content-Length``; a bad one ends the connection.
+
+        The body's framing is unknown then, so the server cannot read
+        past it to the next request on a kept-alive connection.
+        """
+        text = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(text)
+        except ValueError:
+            length = -1
+        if length < 0:
+            self.close_connection = True
+            raise ConfigurationError(f"invalid Content-Length {text!r}")
+        return length
+
     def _submit_job(self) -> None:
-        length = int(self.headers.get("Content-Length", 0) or 0)
+        length = self._content_length()
         raw = self.rfile.read(length) if length else b""
         try:
             payload = json.loads(raw.decode("utf-8") or "null")
@@ -267,7 +284,7 @@ class _Handler(BaseHTTPRequestHandler):
             level = self._results_level(query)
             self._send_json(registry.detail(job_id, results=level))
         elif action == "wait":
-            timeout = float(query.get("timeout", 60.0))
+            timeout = _parse_timeout(query.get("timeout", "60"))
             registry.wait(job_id, until_done=True, timeout=timeout)
             level = self._results_level(query)
             self._send_json(registry.detail(job_id, results=level))
@@ -305,6 +322,19 @@ class _Handler(BaseHTTPRequestHandler):
                     return
             if self.sweep._stopping.is_set():
                 return
+
+
+def _parse_timeout(text: str) -> float:
+    """A long-poll ``?timeout=`` in seconds, within what a wait accepts."""
+    try:
+        timeout = float(text)
+    except ValueError:
+        timeout = math.nan
+    if not 0.0 <= timeout <= threading.TIMEOUT_MAX:
+        raise ConfigurationError(
+            f"timeout must be between 0 and {threading.TIMEOUT_MAX:g} "
+            f"seconds, got {text!r}")
+    return timeout
 
 
 def serve(host: str = "127.0.0.1", port: int = 8787, jobs: int = 1,

@@ -19,6 +19,7 @@ untouched; repeated-emulation callers should hold a
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
 from repro.core.plan import MemorySavingPlan
@@ -29,7 +30,13 @@ from repro.sim.interpreter import SimulationResult
 from repro.sim.ir import ExecOptions
 from repro.sim.lowering import Lowering
 
-__all__ = ["ExecOptions", "PipelineExecutor", "SimulationResult", "simulate"]
+__all__ = [
+    "ExecOptions",
+    "PipelineExecutor",
+    "SimulationResult",
+    "simulate",
+    "strict_run",
+]
 
 
 class PipelineExecutor:
@@ -80,3 +87,39 @@ def simulate(
         faults=faults,
     )
     return PipelineExecutor(job, plan, options).run()
+
+
+def strict_run(
+    job: TrainingJob,
+    plan: MemorySavingPlan,
+    options: ExecOptions,
+    prior: SimulationResult,
+    prior_options: ExecOptions,
+) -> SimulationResult:
+    """The strict run of ``plan`` under ``options``, reusing ``prior``.
+
+    ``prior`` is a run of ``plan`` under ``prior_options`` that did not
+    enforce capacity.  ``strict`` is read in one place,
+    :meth:`DeviceMemory.alloc`, which raises only when
+    ``in_use + size > capacity``.  If ``prior`` succeeded and none of
+    its books ever peaked above capacity, that condition never held,
+    so a replay under ``options`` (``prior_options`` with
+    ``strict=True``) would take the same path event for event:
+    ``prior`` is returned with its books marked strict.  Otherwise,
+    and always under a fault schedule, the plan is replayed afresh
+    (docs/planner.md).
+    """
+    memory = prior.memory
+    books = memory.gpus + [memory.host]
+    if (
+        options.faults is not None
+        or not prior.ok
+        or prior.plan is not plan
+        or replace(prior_options, strict=True) != options
+        or any(book.peak > book.capacity for book in books)
+    ):
+        return PipelineExecutor(job, plan, options).run()
+    memory.strict = True
+    for book in books:
+        book.strict = True
+    return prior

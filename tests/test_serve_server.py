@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import http.client
 import json
 from urllib.request import urlopen
 
@@ -164,6 +165,32 @@ class TestEndpoints:
         with pytest.raises(urllib.error.HTTPError) as info:
             urllib.request.urlopen(request, timeout=10)
         assert info.value.code == 400
+
+    @pytest.mark.parametrize("length", ["abc", "-1", "1.5"])
+    def test_bad_content_length_is_400(self, server, length):
+        # A negative length used to block reading to EOF; garbage used
+        # to escape as an uncaught ValueError.
+        connection = http.client.HTTPConnection(server.host, server.port,
+                                                timeout=10)
+        try:
+            connection.putrequest("POST", "/v1/jobs")
+            connection.putheader("Content-Type", "application/json")
+            connection.putheader("Content-Length", length)
+            connection.endheaders(b"{}")
+            response = connection.getresponse()
+            payload = json.loads(response.read())
+        finally:
+            connection.close()
+        assert response.status == 400
+        assert "Content-Length" in payload["error"]
+
+    @pytest.mark.parametrize("timeout", ["abc", "-1", "nan", "inf"])
+    def test_bad_wait_timeout_is_400(self, server, client, timeout):
+        job = server.submit("alice", 0, _tiny_tasks(("none",)))
+        with pytest.raises(ServeError) as info:
+            client._request(f"/v1/jobs/{job.id}/wait?timeout={timeout}")
+        assert info.value.status == 400
+        assert "timeout" in str(info.value)
 
     def test_submit_poll_wait_lifecycle(self, server, client):
         job = server.submit("alice", 0, _tiny_tasks())

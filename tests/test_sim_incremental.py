@@ -143,6 +143,35 @@ class TestResume:
                 result_fingerprint(Interpreter(program).run())
             sim.run(base)  # restore baseline artifacts
 
+    def test_resume_and_memo_leave_returned_results_untouched(self, pool):
+        """A later resume or memo hit never mutates a result already
+        returned: the planner hands its accepted emulation on as the
+        strict training run (docs/planner.md)."""
+        _job, plan, lowering = pool
+        base = lowering.lower(plan)
+        sim = IncrementalSimulator()
+        first = sim.run(base)
+
+        def observed(result):
+            books = result.memory.gpus + [result.memory.host]
+            return (result_fingerprint(result),
+                    [(list(b.timeline), list(b.events), dict(b._tags))
+                     for b in books],
+                    list(result.trace.events), list(result.trace.counters))
+
+        before = observed(first)
+        starts = sim._last.starts
+        iid = sorted(range(len(starts)), key=lambda i: starts[i])[
+            int(0.9 * (len(starts) - 1))]
+        instrs = list(base.instructions)
+        instrs[iid] = dataclasses.replace(
+            instrs[iid], duration=instrs[iid].duration * 1.5)
+        program = dataclasses.replace(base, instructions=tuple(instrs))
+        sim.run(program)
+        sim.run(program)
+        assert sim.n_resumed == 1 and sim.n_memoized == 1
+        assert observed(first) == before
+
     def test_early_divergence_falls_back_to_full(self, pool):
         """Plan deltas touch microbatch 0's forwards, which run before
         the first snapshot — the simulator must *not* resume, and the
