@@ -35,10 +35,16 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from typing import Dict
 
 from repro.errors import ConfigurationError
 from repro.job import TrainingJob, dapple_job, gpipe_job, pipedream_job
+
+# A cluster spec names at most this many servers.  ``make_cluster``
+# builds every server, so an unbounded ``nodes`` (say ``10**12``) from
+# an untrusted request would never return; no real fabric comes close.
+MAX_NODES = 1024
 
 _REQUIRED = ("model", "server")
 _OPTIONAL = {
@@ -64,6 +70,37 @@ _SERVING = {
 }
 _BUILDERS = {"pipedream": pipedream_job, "dapple": dapple_job, "gpipe": gpipe_job}
 
+_KINDS = {str: "a string", bool: "true or false", int: "an integer",
+          float: "a finite number"}
+_NO_DEFAULT = object()
+
+
+def _read(spec: Dict, key: str, kind: type, default=_NO_DEFAULT):
+    """``spec[key]``, checked to be a JSON value of ``kind``.
+
+    ``kind`` is ``str``, ``bool``, ``int`` or ``float`` (any finite
+    number, kept as given so cache keys do not move); booleans are not
+    numbers.  An absent or null value reads as ``default``, and is an
+    error when there is none.
+    """
+    value = spec.get(key)
+    if value is None and default is not _NO_DEFAULT:
+        return default
+    if kind is str or kind is bool:
+        ok = isinstance(value, kind)
+    elif isinstance(value, bool):
+        ok = False
+    elif kind is int:
+        ok = isinstance(value, int)
+    else:
+        try:
+            ok = isinstance(value, (int, float)) and math.isfinite(float(value))
+        except OverflowError:       # an int past the float range
+            ok = False
+    if not ok:
+        raise ConfigurationError(f"{key} must be {_KINDS[kind]}, got {value!r}")
+    return value
+
 
 def job_from_spec(spec: Dict) -> TrainingJob:
     """Build a :class:`TrainingJob` from a parsed spec dict."""
@@ -77,18 +114,21 @@ def job_from_spec(spec: Dict) -> TrainingJob:
 
     from repro.cli import _build_server, _default_pipeline, _parse_model
 
-    model = _parse_model(spec["model"])
-    server = _build_server(spec["server"])
-    pipeline = spec.get("pipeline") or _default_pipeline(spec["model"])
+    model_spec = _read(spec, "model", str)
+    model = _parse_model(model_spec)
+    server = _build_server(_read(spec, "server", str))
+    pipeline = (_read(spec, "pipeline", str, None)
+                or _default_pipeline(model_spec))
     builder = _BUILDERS.get(pipeline)
     if builder is None:
         raise ConfigurationError(f"unknown pipeline {pipeline!r}")
 
     kwargs = {}
-    for key in ("microbatch_size", "microbatches_per_minibatch",
-                "n_minibatches", "mfu"):
+    for key, kind in (("microbatch_size", int),
+                      ("microbatches_per_minibatch", int),
+                      ("n_minibatches", int), ("mfu", float)):
         if spec.get(key) is not None:
-            kwargs[key] = spec[key]
+            kwargs[key] = _read(spec, key, kind)
     return builder(model, server, **kwargs)
 
 
@@ -117,10 +157,13 @@ def cluster_from_spec(spec: Dict, force: bool = False):
     from repro.hardware.cluster import make_cluster
     from repro.hardware.links import FABRICS
 
-    nodes = int(spec.get("nodes", 1) or 1)
-    if not force and nodes <= 1 and int(spec.get("tp", 1)) <= 1:
+    nodes = _read(spec, "nodes", int, 1)
+    if not 1 <= nodes <= MAX_NODES:
+        raise ConfigurationError(
+            f"nodes must be between 1 and {MAX_NODES}, got {nodes}")
+    if not force and nodes <= 1 and _read(spec, "tp", int, 1) <= 1:
         return None
-    fabric_name = spec.get("fabric", "ib-edr")
+    fabric_name = _read(spec, "fabric", str, "ib-edr")
     fabric = FABRICS.get(fabric_name)
     if fabric is None:
         raise ConfigurationError(
@@ -138,10 +181,10 @@ def cluster_config_from_spec(spec: Dict):
     from repro.parallel.cluster import ClusterConfig
 
     return ClusterConfig(
-        tp=int(spec.get("tp", 1)),
-        dp=int(spec.get("dp", 1)),
-        pp=int(spec.get("pp", 0)),
-        sequence_parallel=bool(spec.get("sequence_parallel", False)),
+        tp=_read(spec, "tp", int, 1),
+        dp=_read(spec, "dp", int, 1),
+        pp=_read(spec, "pp", int, 0),
+        sequence_parallel=_read(spec, "sequence_parallel", bool, False),
     )
 
 
@@ -152,26 +195,26 @@ def autoplan_config_from_spec(spec: Dict):
     parallelism degrees contradict an automatic shape search, so
     mixing them is an error rather than a silent override.
     """
-    shape = spec.get("shape", "explicit")
+    shape = _read(spec, "shape", str, "explicit")
     if shape not in ("explicit", "auto"):
         raise ConfigurationError(
             f"unknown shape {shape!r}; options: ['auto', 'explicit']")
+    budget = _read(spec, "budget_gib", float, None)
     if shape != "auto":
-        if spec.get("budget_gib") is not None:
+        if budget is not None:
             raise ConfigurationError(
                 'budget_gib only applies to "shape": "auto" specs')
         return None
     for key, default in (("tp", 1), ("dp", 1), ("pp", 0)):
-        if int(spec.get(key, default) or default) != default:
+        if (_read(spec, key, int, default) or default) != default:
             raise ConfigurationError(
                 f'"shape": "auto" picks tp/dp/pp itself; drop the '
                 f"explicit {key}={spec[key]}")
     from repro.autoplan import AutoPlanConfig
 
-    budget = spec.get("budget_gib")
     return AutoPlanConfig(
         budget_gib=float(budget) if budget is not None else None,
-        sequence_parallel=bool(spec.get("sequence_parallel", False)),
+        sequence_parallel=_read(spec, "sequence_parallel", bool, False),
     )
 
 
@@ -184,7 +227,7 @@ def inference_config_from_spec(spec: Dict):
     KV pool cap, swap policy, ...).  Cluster keys describe training
     sharding and contradict a serving spec, so mixing is an error.
     """
-    workload = spec.get("workload", "training")
+    workload = _read(spec, "workload", str, "training")
     if workload not in ("training", "inference"):
         raise ConfigurationError(
             f"unknown workload {workload!r}; options: "
@@ -196,11 +239,11 @@ def inference_config_from_spec(spec: Dict):
                 '"workload": "inference" specs')
         return None
     for key, default in (("nodes", 1), ("tp", 1), ("dp", 1), ("pp", 0)):
-        if int(spec.get(key, default) or default) != default:
+        if (_read(spec, key, int, default) or default) != default:
             raise ConfigurationError(
                 f'"workload": "inference" specs describe one server; '
                 f"drop the cluster key {key}={spec[key]}")
-    if spec.get("shape", "explicit") == "auto":
+    if _read(spec, "shape", str, "explicit") == "auto":
         raise ConfigurationError(
             '"shape": "auto" is a training-shape search; inference '
             "specs set pp inside the \"inference\" object instead")
@@ -216,9 +259,29 @@ def inference_config_from_spec(spec: Dict):
         raise ConfigurationError(
             f"unknown inference keys: {sorted(unknown)}")
     params = dict(params)
+    for f in dataclasses.fields(InferenceConfig):
+        if f.name in params and f.name != "trace":
+            kind = int if f.name == "kv_pool_mib" else type(f.default)
+            params[f.name] = _read(params, f.name, kind, f.default)
     if params.get("trace") is not None:
-        params["trace"] = tuple(tuple(entry) for entry in params["trace"])
+        params["trace"] = _trace_from_spec(params["trace"])
     return InferenceConfig(**params)
+
+
+def _trace_from_spec(trace) -> tuple:
+    """``[[arrival_s, prompt, output], ...]`` as InferenceConfig's tuples."""
+    entries = []
+    for entry in trace if isinstance(trace, list) else [trace]:
+        if not (isinstance(entry, list) and len(entry) == 3):
+            raise ConfigurationError(
+                "trace must be a list of [arrival_s, prompt, output] "
+                f"triples, got {entry!r}")
+        row = dict(zip(("trace arrival_s", "trace prompt", "trace output"),
+                       entry))
+        entries.append((_read(row, "trace arrival_s", float),
+                        _read(row, "trace prompt", int),
+                        _read(row, "trace output", int)))
+    return tuple(entries)
 
 
 _TASK = {
@@ -248,24 +311,27 @@ def task_from_spec(spec: Dict) -> "SimTask":
     if not isinstance(spec, dict):
         raise ConfigurationError("task spec must be a JSON object")
     spec = dict(spec)
-    task_keys = {key: spec.pop(key, default)
-                 for key, default in _TASK.items()}
+    task_keys = {key: spec.pop(key, None) for key in _TASK}
+    label = _read(task_keys, "label", str, None)
+    system = _read(task_keys, "system", str, _TASK["system"])
+    faults_seed = _read(task_keys, "faults_seed", int, None)
+    horizon = _read(task_keys, "faults_horizon", float, _TASK["faults_horizon"])
+    hybrid_dp = _read(task_keys, "hybrid_dp", int, None)
     job = job_from_spec(spec)
     inference = inference_config_from_spec(spec)
     if inference is not None:
-        if task_keys["faults_seed"] is not None:
+        if faults_seed is not None:
             raise ConfigurationError(
                 "fault injection applies to training tasks, not "
                 '"workload": "inference"')
-        if task_keys["hybrid_dp"] is not None:
+        if hybrid_dp is not None:
             raise ConfigurationError(
                 "hybrid_dp applies to training tasks, not "
                 '"workload": "inference"')
-        label = task_keys["label"]
         if label is None:
             label = (f"serving/{spec['model']}/{spec['server']}"
                      f"/kv={inference.kv_swap}")
-        return SimTask(label=label, job=job, system=task_keys["system"],
+        return SimTask(label=label, job=job, system=system,
                        inference=inference)
     autoplan = autoplan_config_from_spec(spec)
     if autoplan is not None:
@@ -275,20 +341,18 @@ def task_from_spec(spec: Dict) -> "SimTask":
         cluster = cluster_from_spec(spec)
         cluster_config = cluster_config_from_spec(spec) \
             if cluster is not None else None
-    system = task_keys["system"]
     faults = None
-    if task_keys["faults_seed"] is not None:
+    if faults_seed is not None:
         faults = random_schedule(
-            seed=int(task_keys["faults_seed"]),
+            seed=faults_seed,
             n_devices=job.server.n_gpus,
-            horizon=float(task_keys["faults_horizon"]),
+            horizon=float(horizon),
         )
     hybrid = None
-    if task_keys["hybrid_dp"] is not None:
+    if hybrid_dp is not None:
         from repro.parallel.hybrid import HybridConfig
 
-        hybrid = HybridConfig(dp=int(task_keys["hybrid_dp"]))
-    label = task_keys["label"]
+        hybrid = HybridConfig(dp=hybrid_dp)
     if label is None:
         label = f"{spec['model']}/{spec['server']}/{system}"
         if autoplan is not None:
@@ -298,8 +362,8 @@ def task_from_spec(spec: Dict) -> "SimTask":
                       f"pp={cluster_config.pp}")
         if hybrid is not None:
             label += f"/dp={hybrid.dp}"
-        if task_keys["faults_seed"] is not None:
-            label += f"/faults={int(task_keys['faults_seed'])}"
+        if faults_seed is not None:
+            label += f"/faults={faults_seed}"
     return SimTask(label=label, job=job, system=system, faults=faults,
                    hybrid=hybrid, cluster=cluster,
                    cluster_config=cluster_config, autoplan=autoplan)

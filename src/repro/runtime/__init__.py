@@ -9,9 +9,12 @@ package makes those sweeps fast and repeatable:
 * :class:`ResultCache` — content-addressed on-disk records, keyed by
   a canonical hash of (job, system, planner config, fault schedule,
   plan, code salt);
-* :class:`SweepRuntime` — fans tasks over a process pool with
-  worker-crash retry and exclusion, deterministic result ordering,
-  and structured progress reporting;
+* :class:`ExecutionBackend` — the one executor (cache, in-flight
+  coalescing, fork pool, worker-crash retry and exclusion) behind
+  both sweeps and ``repro serve``;
+* :class:`SweepRuntime` — drives it over a sweep, inline at
+  ``jobs=1``, with deterministic result ordering and structured
+  progress reporting;
 * :mod:`repro.runtime.presets` — the named grids of the paper's
   figures, shared by the CLI and the benchmark suite.
 
@@ -20,6 +23,7 @@ See ``docs/runtime.md`` for cache layout and invalidation rules.
 
 from repro.runtime.cache import CacheStats, ResultCache
 from repro.runtime.pool import (
+    ExecutionBackend,
     ProgressEvent,
     RuntimeConfig,
     RuntimeReport,
@@ -41,6 +45,7 @@ from repro.runtime.task import (
 __all__ = [
     "CacheStats",
     "ResultCache",
+    "ExecutionBackend",
     "ProgressEvent",
     "RuntimeConfig",
     "RuntimeReport",

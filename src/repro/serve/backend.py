@@ -1,274 +1,13 @@
-"""Shared execution backend of the sweep server.
+"""The sweep server's executor, which is the runtime's.
 
-One :class:`ExecutionBackend` serves every tenant of a
-:class:`~repro.serve.server.SweepServer`.  It is the long-running
-sibling of :class:`~repro.runtime.pool.SweepRuntime`: the same worker
-function (``repro.runtime.pool.execute_task``), the same
-retry-with-exclusion crash semantics, but a *persistent* process pool
-shared across requests instead of one pool per sweep, plus two layers
-the one-shot runtime does not need:
-
-* **shared cache** — all tenants read and write one
-  :class:`~repro.runtime.ResultCache`, so a request warmed by any
-  client is warm for every client;
-* **in-flight coalescing** — two concurrent requests for the same
-  content address run *one* simulation; the second blocks on the
-  first's completion and shares its record.  Without this, identical
-  sweeps racing each other would both miss the cache and duplicate
-  every simulation.
-
-A worker crash (the pool breaks) discards the pool generation and
-rebuilds the pool; the task is retried up to ``retries`` times and
-then *excluded* — attempted once inline in the server process, where
-an ordinary exception is recorded per-task instead of taking the
-server down.  This mirrors ``SweepRuntime._run_pool`` (docs/runtime.md),
-so the runtime's battle-tested crash semantics apply to both paths.
+:class:`~repro.runtime.pool.ExecutionBackend` (cache, in-flight
+coalescing, persistent fork pool, retry-with-exclusion) serves both
+``repro sweep`` and ``repro serve``; see ``docs/runtime.md``.  The
+server keeps one for its lifetime and always pools.  ``TaskResolution``
+is the serve-side name of :class:`~repro.runtime.pool.TaskOutcome`.
 """
 
-from __future__ import annotations
+from repro.runtime.pool import ExecutionBackend
+from repro.runtime.pool import TaskOutcome as TaskResolution
 
-import threading
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
-from typing import Dict, Optional
-
-from repro.errors import ConfigurationError
-from repro.runtime import pool as pool_module
-from repro.runtime.cache import ResultCache
-from repro.runtime.task import SimTask
-
-
-def _warmup() -> int:
-    """No-op worker task used to pre-spawn pool processes."""
-    import os
-
-    return os.getpid()
-
-
-@dataclass
-class TaskResolution:
-    """How the backend resolved one task."""
-
-    key: str
-    record: Optional[Dict]
-    source: str            # "cache" | "pool" | "inline" | "coalesced"
-    attempts: int = 1
-    error: Optional[str] = None
-
-    @property
-    def ok(self) -> bool:
-        return self.record is not None
-
-
-@dataclass
-class _Inflight:
-    """Rendezvous for requests coalesced onto one running simulation."""
-
-    done: threading.Event = field(default_factory=threading.Event)
-    record: Optional[Dict] = None
-    error: Optional[str] = None
-    waiters: int = 0
-
-
-class ExecutionBackend:
-    """Execute tasks on a shared persistent pool with a shared cache.
-
-    Thread-safe: the server's dispatcher threads all call
-    :meth:`execute` concurrently.  ``jobs`` bounds both the pool's
-    worker processes and, via the server's dispatcher count, the
-    number of concurrently running simulations.
-    """
-
-    def __init__(self, jobs: int = 1, cache: Optional[ResultCache] = None,
-                 retries: int = 2):
-        if jobs < 1:
-            raise ConfigurationError("backend jobs must be >= 1")
-        if retries < 0:
-            raise ConfigurationError("backend retries must be >= 0")
-        self.jobs = jobs
-        self.cache = cache
-        self.retries = retries
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._pool_lock = threading.Lock()
-        self._inflight: Dict[str, _Inflight] = {}
-        self._inflight_lock = threading.Lock()
-        self._counter_lock = threading.Lock()
-        self.executed = 0
-        self.cache_hits = 0
-        self.coalesced = 0
-        self.failures = 0
-        self.inline_runs = 0
-        self.pool_generations = 0
-        self._closed = False
-
-    # -- pool lifecycle ---------------------------------------------------
-
-    def _mp_context(self):
-        import multiprocessing
-
-        try:
-            return multiprocessing.get_context("fork")
-        except ValueError:                  # pragma: no cover — non-POSIX
-            return multiprocessing.get_context()
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        with self._pool_lock:
-            if self._closed:
-                raise RuntimeError("backend is shut down")
-            if self._pool is None:
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.jobs, mp_context=self._mp_context())
-                self.pool_generations += 1
-                # Spawn the workers now, before dispatcher threads are
-                # hammering the queue, so forks happen from a quiet
-                # process.
-                for future in [self._pool.submit(_warmup)
-                               for _ in range(self.jobs)]:
-                    try:
-                        future.result()
-                    except BrokenProcessPool:   # pragma: no cover
-                        break
-            return self._pool
-
-    def _discard_pool(self, broken: ProcessPoolExecutor) -> None:
-        """Throw away a broken pool generation (next use rebuilds)."""
-        with self._pool_lock:
-            if self._pool is broken:
-                self._pool = None
-        broken.shutdown(wait=False, cancel_futures=True)
-
-    def shutdown(self) -> None:
-        with self._pool_lock:
-            self._closed = True
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
-
-    # -- execution --------------------------------------------------------
-
-    def execute(self, task: SimTask) -> TaskResolution:
-        """Resolve one task: cache hit, coalesce, pool, or inline.
-
-        Never raises on task failure — persistent errors come back in
-        ``TaskResolution.error``, exactly like the sweep runtime's
-        per-task outcomes.  Cached and coalesced records are re-labelled
-        with the *caller's* task label, matching the runtime's
-        cache-hit behaviour.
-        """
-        key = task.cache_key()
-        if self.cache is not None:
-            record = self.cache.get(key)
-            if record is not None:
-                with self._counter_lock:
-                    self.cache_hits += 1
-                return TaskResolution(key=key,
-                                      record=dict(record, label=task.label),
-                                      source="cache")
-
-        # Coalesce concurrent requests for the same content address:
-        # the first requester becomes the owner and simulates; the
-        # rest wait for the owner's record.
-        with self._inflight_lock:
-            entry = self._inflight.get(key)
-            owner = entry is None
-            if owner:
-                entry = self._inflight[key] = _Inflight()
-            else:
-                entry.waiters += 1
-
-        if not owner:
-            entry.done.wait()
-            with self._counter_lock:
-                self.coalesced += 1
-                if entry.record is None:
-                    self.failures += 1
-            record = (dict(entry.record, label=task.label)
-                      if entry.record is not None else None)
-            return TaskResolution(key=key, record=record,
-                                  source="coalesced", error=entry.error)
-
-        try:
-            resolution = self._run_with_retries(task, key)
-        except BaseException:
-            # The owner must never leave waiters hanging, even on an
-            # interpreter-level abort.
-            entry.error = "backend aborted"
-            with self._inflight_lock:
-                self._inflight.pop(key, None)
-            entry.done.set()
-            raise
-        if resolution.ok and self.cache is not None:
-            self.cache.put(key, resolution.record)
-        with self._counter_lock:
-            if resolution.ok:
-                self.executed += 1
-            else:
-                self.failures += 1
-        # Publish to waiters only after the cache write: a request
-        # landing between the two would otherwise miss both layers
-        # and duplicate the simulation.
-        entry.record = resolution.record
-        entry.error = resolution.error
-        with self._inflight_lock:
-            self._inflight.pop(key, None)
-        entry.done.set()
-        return resolution
-
-    # -- single-task retry/exclusion --------------------------------------
-
-    def _run_with_retries(self, task: SimTask, key: str) -> TaskResolution:
-        """Pool attempts up to ``retries``+1, then the inline exclusion."""
-        attempts = 0
-        error: Optional[str] = None
-        while attempts <= self.retries:
-            attempts += 1
-            pool = self._ensure_pool()
-            try:
-                future = pool.submit(pool_module.execute_task, task)
-            except (RuntimeError, BrokenProcessPool):
-                # Pool broken by a concurrent task's crash; rebuild
-                # without charging this task an attempt.
-                self._discard_pool(pool)
-                attempts -= 1
-                continue
-            try:
-                record = future.result()
-            except BrokenProcessPool:
-                # A worker died (crash, OOM-kill): this generation is
-                # gone.  Rebuild and charge the task one attempt —
-                # the same accounting as SweepRuntime._run_pool.
-                self._discard_pool(pool)
-                error = "BrokenProcessPool: worker crashed"
-                continue
-            except Exception as exc:    # noqa: BLE001 — retried, recorded
-                error = f"{type(exc).__name__}: {exc}"
-                continue
-            return TaskResolution(key=key, record=record, source="pool",
-                                  attempts=attempts)
-        # Exclusion: one last inline attempt in the server process,
-        # where a crashing config raises a catchable exception instead
-        # of killing a worker.
-        attempts += 1
-        with self._counter_lock:
-            self.inline_runs += 1
-        try:
-            record = pool_module.execute_task(task)
-        except Exception as exc:        # noqa: BLE001 — recorded per-task
-            error = f"{type(exc).__name__}: {exc}"
-            record = None
-        return TaskResolution(key=key, record=record, source="inline",
-                              attempts=attempts, error=error if record is None else None)
-
-    # -- introspection ----------------------------------------------------
-
-    def counters(self) -> Dict:
-        with self._counter_lock:
-            return {
-                "executed": self.executed,
-                "cache_hits": self.cache_hits,
-                "coalesced": self.coalesced,
-                "failures": self.failures,
-                "inline_runs": self.inline_runs,
-                "pool_generations": self.pool_generations,
-            }
+__all__ = ["ExecutionBackend", "TaskResolution"]

@@ -20,7 +20,8 @@ and the search's frontier shapes share the tenant-wide result cache
 with explicit-shape sweeps of the same grid.
 
 Validation errors raise :class:`~repro.errors.ConfigurationError`,
-which the HTTP layer maps to a 400 with the message in the body.
+which the HTTP layer maps to a 400 with the message in the body; a
+body over :data:`MAX_BODY_BYTES` is a 413.
 """
 
 from __future__ import annotations
@@ -29,15 +30,24 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.errors import ConfigurationError
+from repro.jobspec import MAX_NODES  # noqa: F401 — a request bound, below
 from repro.jobspec import task_from_spec
 from repro.runtime.task import SimTask
 
 DEFAULT_TENANT = "default"
 
+# Bounds on what one untrusted request may ask for.  None is a CLI
+# option: they guard the server, not a workload.
+#
 # One submission is bounded so a single client cannot enqueue an
 # unbounded amount of work in one request; sweeps larger than this
 # should be split (and will then interleave fairly anyway).
 MAX_TASKS_PER_REQUEST = 4096
+# A request body longer than this is answered 413 before it is read
+# (room for the task cap at ~2 KiB per spec).
+MAX_BODY_BYTES = 8 * 2**20
+# A task spec naming more servers than ``MAX_NODES`` (imported above
+# from ``repro.jobspec``, where specs are read) is a 400.
 
 
 @dataclass(frozen=True)

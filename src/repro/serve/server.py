@@ -3,8 +3,8 @@
 ``repro serve`` boots one :class:`SweepServer`: a ThreadingHTTPServer
 front end, ``jobs`` dispatcher threads pulling task units from a
 :class:`~repro.serve.scheduler.FairShareScheduler`, and one shared
-:class:`~repro.serve.backend.ExecutionBackend` (persistent process
-pool + shared result cache).  Every sweep preset and job spec the CLI
+:class:`~repro.runtime.pool.ExecutionBackend` (the runtime's executor:
+persistent process pool + shared result cache).  Every sweep preset and job spec the CLI
 understands is thereby a network workload.
 
 API (all JSON; see docs/serving.md):
@@ -34,10 +34,10 @@ from urllib.parse import parse_qs, urlparse
 
 from repro.errors import ConfigurationError
 from repro.runtime.cache import ResultCache
+from repro.runtime.pool import ExecutionBackend, TaskOutcome
 from repro.runtime.task import SimTask
-from repro.serve.backend import ExecutionBackend, TaskResolution
 from repro.serve.scheduler import FairShareScheduler, TaskUnit
-from repro.serve.schemas import parse_submit
+from repro.serve.schemas import MAX_BODY_BYTES, parse_submit
 from repro.serve.state import JobRegistry, JobState
 
 _RESULT_LEVELS = ("none", "summary", "full")
@@ -141,7 +141,7 @@ class SweepServer:
             try:
                 resolution = self.backend.execute(unit.task)
             except Exception as exc:    # noqa: BLE001 — server must survive
-                resolution = TaskResolution(
+                resolution = TaskOutcome(
                     key="", record=None, source="error",
                     error=f"{type(exc).__name__}: {exc}")
             self.registry.record(unit.job_id, unit.index, resolution)
@@ -261,6 +261,13 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _submit_job(self) -> None:
         length = self._content_length()
+        if length > MAX_BODY_BYTES:
+            # Unread, the body would be taken for the next request.
+            self.close_connection = True
+            self._send_error_json(
+                413, f"request body of {length} bytes exceeds the cap of "
+                     f"{MAX_BODY_BYTES}")
+            return
         raw = self.rfile.read(length) if length else b""
         try:
             payload = json.loads(raw.decode("utf-8") or "null")

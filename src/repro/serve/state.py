@@ -16,7 +16,7 @@ import time
 from typing import Dict, List, Optional, Sequence
 
 from repro.runtime.task import SimTask
-from repro.serve.backend import TaskResolution
+from repro.runtime.pool import TaskOutcome
 
 QUEUED = "queued"
 RUNNING = "running"
@@ -157,7 +157,7 @@ class JobRegistry:
             self._cond.notify_all()
 
     def record(self, job_id: str, index: int,
-               resolution: TaskResolution) -> None:
+               resolution: TaskOutcome) -> None:
         with self._cond:
             job = self._jobs[job_id]
             job.unit_status[index] = DONE

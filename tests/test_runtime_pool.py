@@ -172,3 +172,43 @@ def test_worker_exception_retries_then_records(monkeypatch):
     outcome = report.outcomes[0]
     assert not outcome.ok
     assert report.failed == 1
+
+
+# -- one executor -------------------------------------------------------------
+
+
+def test_parallel_sweep_runs_each_repeated_key_once(tmp_path):
+    base = _tiny_tasks(n_systems=2)
+    tasks = base + [base[0], base[1], base[0], base[2]]
+    serial = SweepRuntime(RuntimeConfig(jobs=1)).run(tasks)
+    cache = ResultCache(str(tmp_path))
+    parallel = SweepRuntime(RuntimeConfig(jobs=2, cache=cache)).run(tasks)
+    assert serial.failed == 0 and parallel.failed == 0
+    assert _dump(parallel.records()) == _dump(serial.records())
+    # A repeat either coalesced onto its twin in flight or read the
+    # record its twin cached: one simulation per distinct key.
+    distinct = {task.cache_key() for task in tasks}
+    assert parallel.executed == len(distinct) == len(base)
+    coalesced = sum(o.source == "coalesced" for o in parallel.outcomes)
+    assert parallel.cached + coalesced == len(tasks) - len(base)
+
+
+def test_sweep_and_backend_share_crash_semantics(monkeypatch):
+    from repro.runtime.pool import ExecutionBackend
+
+    monkeypatch.setattr("repro.runtime.pool.execute_task",
+                        _poisoned_execute)
+    bad = SimTask(label="bad/crasher", job=tiny_job(), system="none")
+    swept = SweepRuntime(RuntimeConfig(jobs=2, retries=1)).run(
+        [bad]).outcomes[0]
+    backend = ExecutionBackend(jobs=2, retries=1)
+    try:
+        served = backend.execute(bad)
+    finally:
+        backend.shutdown()
+    for outcome in (swept, served):
+        assert not outcome.ok
+        assert outcome.source == "inline"       # excluded from the pool
+        assert outcome.attempts == 3            # 2 pool attempts + inline
+        assert outcome.error.startswith("RuntimeError:")
+    assert backend.pool_generations == 2        # each crash broke a pool

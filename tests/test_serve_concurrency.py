@@ -246,6 +246,52 @@ class TestCoalescing:
                    for r in resolutions)
         assert backend.failures == 2      # owner + coalesced waiter
 
+    def test_other_label_waits_for_the_owner_then_reads_the_cache(
+            self, tmp_path, monkeypatch):
+        # Same content, another label: another sweep cell.  It does
+        # not share the owner's outcome, but it does not simulate
+        # again either: it waits, then hits the record the owner
+        # cached.
+        backend = ExecutionBackend(jobs=1,
+                                   cache=ResultCache(str(tmp_path)))
+        owner_task = SimTask(label="co/a", job=tiny_job(), system="none")
+        other_task = SimTask(label="co/b", job=tiny_job(), system="none")
+        release = threading.Event()
+        started = threading.Event()
+        calls = []
+
+        def _slow_run(self, task, key):
+            calls.append(task.label)
+            started.set()
+            release.wait(timeout=30)
+            from repro.serve.backend import TaskResolution
+
+            return TaskResolution(key=key, record={"label": task.label,
+                                                   "ok": True},
+                                  source="pool")
+
+        monkeypatch.setattr(ExecutionBackend, "_run_with_retries",
+                            _slow_run)
+        resolutions = {}
+
+        def run(task):
+            resolutions[task.label] = backend.execute(task)
+
+        owner = threading.Thread(target=run, args=(owner_task,))
+        owner.start()
+        assert started.wait(timeout=10)
+        other = threading.Thread(target=run, args=(other_task,))
+        other.start()
+        threading.Event().wait(timeout=0.2)
+        release.set()
+        owner.join(timeout=10)
+        other.join(timeout=10)
+        assert calls == ["co/a"]
+        assert resolutions["co/a"].source == "pool"
+        assert resolutions["co/b"].source == "cache"
+        assert resolutions["co/b"].record == {"label": "co/b", "ok": True}
+        assert backend.coalesced == 0
+
 
 # -- worker crash mid-request ------------------------------------------------
 #

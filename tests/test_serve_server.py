@@ -184,6 +184,39 @@ class TestEndpoints:
         assert response.status == 400
         assert "Content-Length" in payload["error"]
 
+    @pytest.mark.parametrize("extra", [
+        {"n_minibatches": "x"}, {"model": 5}, {"server": ["dgx1"]},
+        {"nodes": "two"}, {"nodes": 10**12},
+        {"workload": "inference", "inference": {"n_requests": "a"}},
+    ])
+    def test_wrong_typed_spec_is_400(self, client, extra):
+        # Each is a 400 naming the key, not an exception that drops
+        # the connection (or, for a huge node count, a cluster build
+        # that never returns).
+        spec = dict({"model": "gpt-5.3", "server": "dgx1"}, **extra)
+        with pytest.raises(ServeError) as info:
+            client._request("/v1/jobs", {"tasks": [spec]})
+        assert info.value.status == 400
+        key = "n_requests" if "inference" in extra else next(iter(extra))
+        assert key in str(info.value)
+
+    def test_oversized_body_is_413_before_it_is_read(self, server):
+        from repro.serve.schemas import MAX_BODY_BYTES
+
+        connection = http.client.HTTPConnection(server.host, server.port,
+                                                timeout=10)
+        try:
+            connection.putrequest("POST", "/v1/jobs")
+            connection.putheader("Content-Type", "application/json")
+            connection.putheader("Content-Length", str(MAX_BODY_BYTES + 1))
+            connection.endheaders()         # the body is never sent
+            response = connection.getresponse()
+            payload = json.loads(response.read())
+        finally:
+            connection.close()
+        assert response.status == 413
+        assert str(MAX_BODY_BYTES) in payload["error"]
+
     @pytest.mark.parametrize("timeout", ["abc", "-1", "nan", "inf"])
     def test_bad_wait_timeout_is_400(self, server, client, timeout):
         job = server.submit("alice", 0, _tiny_tasks(("none",)))
