@@ -81,6 +81,7 @@ class RankedShape:
     tflops: Optional[float] = None
     cache_key: Optional[str] = None
     record: Optional[dict] = None         # the frontier task's raw record
+    error: Optional[str] = None           # why a frontier task gave no record
 
     @property
     def shape(self) -> Tuple[int, int, int]:
@@ -109,6 +110,7 @@ class AutoPlanReport:
     n_rejected: int = 0
     n_priced: int = 0
     n_simulated: int = 0
+    n_failed: int = 0                     # frontier tasks that raised
 
     @property
     def best(self) -> Optional[RankedShape]:
@@ -133,6 +135,7 @@ class AutoPlanReport:
                 "n_rejected": self.n_rejected,
                 "n_priced": self.n_priced,
                 "n_simulated": self.n_simulated,
+                "n_failed": self.n_failed,
                 "frontier_fraction": self.config.frontier_fraction,
                 "simulated_fraction": self.simulated_fraction,
             },
@@ -157,6 +160,7 @@ class AutoPlanReport:
             "peak_gib": row.peak_gib,
             "tflops": row.tflops,
             "cache_key": row.cache_key,
+            "error": row.error,
         })
         return payload
 
@@ -168,7 +172,8 @@ class AutoPlanReport:
             f"  grid: {self.n_enumerated} shapes enumerated, "
             f"{self.n_valid} valid, {self.n_rejected} rejected; "
             f"simulated {self.n_simulated} "
-            f"({100 * self.simulated_fraction:.0f}% of valid)",
+            f"({100 * self.simulated_fraction:.0f}% of valid)"
+            + (f", {self.n_failed} failed" if self.n_failed else ""),
             "  rank  shape (tp,dp,pp)  mode     samples/s  "
             "sync tail  peak GiB  how",
         ]
@@ -183,7 +188,11 @@ class AutoPlanReport:
                 f"{row.ranking_samples_per_second:>9.2f}  "
                 f"{price.contended_sync_seconds * 1e3:>7.1f}ms  "
                 f"{peak:>8.2f}  "
-                f"{'simulated' if row.simulated else 'estimated'}")
+                f"{_how(row)}")
+        for row in self.ranked:
+            if row.error is not None:
+                lines.append(f"  ({row.price.tp},{row.price.dp},{row.price.pp}) "
+                             f"failed: {row.error}")
         if self.rejected:
             lines.append(f"  rejected shapes ({len(self.rejected)}):")
             for reject in self.rejected:
@@ -194,6 +203,12 @@ class AutoPlanReport:
 
     def json_text(self, job: TrainingJob) -> str:
         return json.dumps(self.to_json(job), indent=2, sort_keys=True)
+
+
+def _how(row: RankedShape) -> str:
+    if row.error is not None:
+        return "failed"
+    return "simulated" if row.simulated else "estimated"
 
 
 def _as_cluster(cluster) -> Cluster:
@@ -299,10 +314,11 @@ def autoplan(
         for candidate, price in frontier
     ]
     with shared_chain_memo():
-        records = run_tasks(tasks, runtime).records()
+        outcomes = run_tasks(tasks, runtime).outcomes
 
     simulated_rows: List[RankedShape] = []
-    for (candidate, price), task, record in zip(frontier, tasks, records):
+    for (candidate, price), task, outcome in zip(frontier, tasks, outcomes):
+        record = outcome.record
         ok = record is not None and bool(record["ok"])
         simulated_rows.append(RankedShape(
             price=price,
@@ -317,6 +333,8 @@ def autoplan(
             tflops=record["tflops"] if record is not None else None,
             cache_key=task.cache_key(),
             record=record,
+            error=(None if record is not None
+                   else outcome.error or "task produced no record"),
         ))
     # Simulated rows first, by measured throughput (failed runs sink);
     # the estimate-only tail keeps its pricing order after them.
@@ -343,5 +361,6 @@ def autoplan(
         n_rejected=len(rejected),
         n_priced=len(priced),
         n_simulated=len(tasks),
+        n_failed=sum(1 for outcome in outcomes if outcome.record is None),
     )
     return report

@@ -23,6 +23,7 @@ devices ``[offset(s), offset(s) + s.n_gpus)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Tuple
 
 from repro.errors import ConfigurationError, TopologyError
@@ -83,7 +84,22 @@ class ClusterTopology:
 
     @property
     def n_gpus(self) -> int:
-        return sum(t.n_gpus for t in self.servers)
+        return len(self._gpu_table)
+
+    @cached_property
+    def _gpu_table(self) -> Tuple[Tuple[int, int], ...]:
+        """``(server, local_gpu)`` of every global GPU, built once.
+
+        The topology is frozen, so the geometry never changes; lane and
+        link queries run per transfer and must not re-walk the servers.
+        Cached in the instance ``__dict__``, outside the dataclass
+        fields, so equality and canonical cache keys do not see it.
+        """
+        return tuple(
+            (idx, local)
+            for idx, topo in enumerate(self.servers)
+            for local in range(topo.n_gpus)
+        )
 
     @property
     def kind(self) -> str:
@@ -117,18 +133,12 @@ class ClusterTopology:
 
     def server_of(self, gpu: int) -> int:
         """Index of the server owning global GPU ``gpu``."""
-        self._check_gpu(gpu)
-        total = 0
-        for idx, topo in enumerate(self.servers):
-            total += topo.n_gpus
-            if gpu < total:
-                return idx
-        raise TopologyError(f"GPU index {gpu} out of range")  # pragma: no cover
+        return self.local_index(gpu)[0]
 
     def local_index(self, gpu: int) -> Tuple[int, int]:
         """Map a global GPU index to ``(server, local_gpu)``."""
-        server = self.server_of(gpu)
-        return server, gpu - self.server_offsets()[server]
+        self._check_gpu(gpu)
+        return self._gpu_table[gpu]
 
     def server_devices(self, server: int) -> Tuple[int, ...]:
         """Global GPU indices owned by ``server``."""
@@ -162,19 +172,15 @@ class ClusterTopology:
     # -- topology protocol -----------------------------------------------
 
     def lanes(self, src: int, dst: int) -> int:
-        self._check_gpu(src)
-        self._check_gpu(dst)
-        if src == dst:
-            return 0
         s_src, l_src = self.local_index(src)
         s_dst, l_dst = self.local_index(dst)
+        if src == dst:
+            return 0
         if s_src == s_dst:
             return self.servers[s_src].lanes(l_src, l_dst)
         return self.nic_lanes
 
     def link_for(self, src: int, dst: int) -> LinkSpec:
-        self._check_gpu(src)
-        self._check_gpu(dst)
         s_src, l_src = self.local_index(src)
         s_dst, l_dst = self.local_index(dst)
         if s_src == s_dst:
@@ -233,8 +239,9 @@ class ClusterTopology:
         )
 
     def _check_gpu(self, gpu: int) -> None:
-        if not 0 <= gpu < self.n_gpus:
-            raise TopologyError(f"GPU index {gpu} out of range [0, {self.n_gpus})")
+        n_gpus = len(self._gpu_table)
+        if not 0 <= gpu < n_gpus:
+            raise TopologyError(f"GPU index {gpu} out of range [0, {n_gpus})")
 
 
 @dataclass(frozen=True)

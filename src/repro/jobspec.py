@@ -16,7 +16,13 @@ reproducible from checked-in files instead of command lines::
 Cluster keys (``nodes``, ``fabric``, ``tp``, ``dp``, ``pp``,
 ``sequence_parallel``) describe a 3D-parallel run; they are ignored by
 :func:`load_job` (which builds the per-replica job) and consumed by
-:func:`cluster_from_spec` / :func:`cluster_config_from_spec`.
+:func:`cluster_from_spec` / :func:`cluster_config_from_spec`.  A spec
+is a cluster spec when it names more than one node or ``tp > 1``; a
+one-box spec that sets another cluster key to a non-default value is
+an error, never silently a plain run.
+
+Sizes are bounded (``MAX_NODES`` and its neighbours below), so an
+untrusted spec cannot ask a worker for an unbounded amount of work.
 
 ``"shape": "auto"`` hands the (tp, dp, pp) choice to the unified
 auto-parallel planner (:mod:`repro.autoplan`) instead of reading the
@@ -45,6 +51,23 @@ from repro.job import TrainingJob, dapple_job, gpipe_job, pipedream_job
 # builds every server, so an unbounded ``nodes`` (say ``10**12``) from
 # an untrusted request would never return; no real fabric comes close.
 MAX_NODES = 1024
+# Upper bounds on the other sizes a spec may ask for.  A simulation's
+# cost grows with each of them, and a ``repro serve`` worker has no
+# per-task timeout, so ``10**9`` microbatches would occupy it for good.
+# Every preset, golden and benchmark value is far below its bound (the
+# largest are 12, 32, 24, 4 and 64).
+MAX_MICROBATCH_SIZE = 1024
+MAX_MICROBATCHES_PER_MINIBATCH = 1024
+MAX_MINIBATCHES = 1024
+MAX_HYBRID_DP = 1024
+MAX_INFERENCE_REQUESTS = 65536
+_SIZE_BOUNDS = {
+    "microbatch_size": MAX_MICROBATCH_SIZE,
+    "microbatches_per_minibatch": MAX_MICROBATCHES_PER_MINIBATCH,
+    "n_minibatches": MAX_MINIBATCHES,
+    "hybrid_dp": MAX_HYBRID_DP,
+    "n_requests": MAX_INFERENCE_REQUESTS,
+}
 
 _REQUIRED = ("model", "server")
 _OPTIONAL = {
@@ -81,7 +104,8 @@ def _read(spec: Dict, key: str, kind: type, default=_NO_DEFAULT):
     ``kind`` is ``str``, ``bool``, ``int`` or ``float`` (any finite
     number, kept as given so cache keys do not move); booleans are not
     numbers.  An absent or null value reads as ``default``, and is an
-    error when there is none.
+    error when there is none.  A size key past its ``_SIZE_BOUNDS``
+    entry is an error naming the key and the bound.
     """
     value = spec.get(key)
     if value is None and default is not _NO_DEFAULT:
@@ -99,6 +123,9 @@ def _read(spec: Dict, key: str, kind: type, default=_NO_DEFAULT):
             ok = False
     if not ok:
         raise ConfigurationError(f"{key} must be {_KINDS[kind]}, got {value!r}")
+    bound = _SIZE_BOUNDS.get(key)
+    if bound is not None and value > bound:
+        raise ConfigurationError(f"{key} must be at most {bound}, got {value}")
     return value
 
 
@@ -144,6 +171,11 @@ def load_job(path: str) -> TrainingJob:
     return job_from_spec(spec)
 
 
+# The cluster keys a one-box spec may carry only at these values.
+_ONE_BOX_DEFAULTS = {"dp": 1, "pp": 0, "fabric": "ib-edr",
+                     "sequence_parallel": False}
+
+
 def cluster_from_spec(spec: Dict, force: bool = False):
     """The spec's :class:`~repro.hardware.cluster.Cluster`, or ``None``.
 
@@ -161,9 +193,18 @@ def cluster_from_spec(spec: Dict, force: bool = False):
     if not 1 <= nodes <= MAX_NODES:
         raise ConfigurationError(
             f"nodes must be between 1 and {MAX_NODES}, got {nodes}")
+    # Type-check every cluster key before deciding this is one box.
+    settings = {key: _read(spec, key, type(default), default)
+                for key, default in _ONE_BOX_DEFAULTS.items()}
     if not force and nodes <= 1 and _read(spec, "tp", int, 1) <= 1:
+        for key, default in _ONE_BOX_DEFAULTS.items():
+            value = settings[key]
+            if value != default:
+                raise ConfigurationError(
+                    f"{key}={value!r} only applies to cluster specs "
+                    f"(nodes > 1 or tp > 1); drop it from a one-box spec")
         return None
-    fabric_name = _read(spec, "fabric", str, "ib-edr")
+    fabric_name = settings["fabric"]
     fabric = FABRICS.get(fabric_name)
     if fabric is None:
         raise ConfigurationError(

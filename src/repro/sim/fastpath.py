@@ -3,7 +3,7 @@
 :class:`FastInterpreter` replays an :class:`~repro.sim.ir.InstructionProgram`
 without building :class:`~repro.sim.engine.Task` objects, effect
 closures, or an :class:`~repro.sim.events.EventBus`.  The program is
-compiled once into a :class:`ProgramTape` — flat numpy/array tapes of
+compiled once into a :class:`ProgramTape` — flat list tapes of
 durations, stream bindings, dependency counts, and opcode-encoded
 effects — and the event loop walks those tapes directly.  Memory
 accounting still goes through the *real*
@@ -24,6 +24,14 @@ monotonically increasing sequence number (so equal completion times
 pop in push order), and a finishing instruction wakes its own stream
 first, then its dependents' streams in edge-declaration order.
 
+Pool streams arbitrate through a per-stream min-heap of the iids of
+their ready members: a member is pushed the moment its last producer
+finishes, and a kick pops the head.  Members are registered in
+submission order, so the smallest ready iid is exactly the first
+pending-and-ready member the reference's linear scan would pick — at
+``O(log n)`` per start instead of a scan over every not-yet-done
+member.
+
 Anything observational — external subscribers, fault schedules —
 forces the reference :class:`~repro.sim.interpreter.Interpreter`;
 :func:`wants_fast_path` is the single gate, and module counters
@@ -41,8 +49,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Tuple
-
-import numpy as np
 
 from repro.errors import OutOfMemoryError, ScheduleError, SimulationError
 from repro.sim.interpreter import Interpreter, SimulationResult
@@ -79,12 +85,11 @@ _PENDING, _RUNNING, _DONE = 0, 1, 2
 class ProgramTape:
     """One program compiled to flat evaluation tapes.
 
-    Compilation is vectorized where arrays help (durations via
-    ``np.fromiter``, dependency fan-in via ``np.bincount`` over the
-    edge tape); the hot loop then indexes plain lists, which is what a
-    data-dependent arbitration loop evaluates fastest in CPython.  A
-    tape is immutable and reusable across any number of runs of the
-    same program.
+    Every tape is a plain Python list (durations are Python floats),
+    which is what a data-dependent arbitration loop indexes fastest in
+    CPython.  ``pool_of[iid]`` is the stream index of a pool-stream
+    member and -1 for a FIFO member.  A tape is immutable and reusable
+    across any number of runs of the same program.
     """
 
     __slots__ = (
@@ -95,6 +100,7 @@ class ProgramTape:
         "stream_keys",
         "stream_modes",
         "stream_of",
+        "pool_of",
         "members",
         "dep_count",
         "dependents",
@@ -109,9 +115,7 @@ class ProgramTape:
         n = len(instrs)
         self.n = n
         self.names: List[str] = [i.name for i in instrs]
-        self.durations: List[float] = np.fromiter(
-            (i.duration for i in instrs), dtype=np.float64, count=n
-        ).tolist()
+        self.durations: List[float] = [float(i.duration) for i in instrs]
         self.n_gpus = len(program.job.server.gpus)
 
         # Streams, in the recorded registration order; any stream a
@@ -135,49 +139,58 @@ class ProgramTape:
                 self.stream_modes.append(instr.stream_mode)
             stream_of.append(s)
         self.stream_of = stream_of
+        is_pool = [mode != "fifo" for mode in self.stream_modes]
+        self.pool_of: List[int] = [s if is_pool[s] else -1 for s in stream_of]
         self.members: List[List[int]] = [[] for _ in self.stream_keys]
         for iid, s in enumerate(stream_of):
             self.members[s].append(iid)
 
         # Dependency fan-in per consumer and the per-producer dependent
-        # list in edge-declaration order (drives wake-up order).
-        if program.edges:
-            edge_arr = np.asarray(program.edges, dtype=np.int64)
-            self.dep_count: List[int] = np.bincount(
-                edge_arr[:, 0], minlength=n
-            ).tolist()
-        else:
-            self.dep_count = [0] * n
-        dependents: List[List[int]] = [[] for _ in range(n)]
+        # tuple in edge-declaration order (drives wake-up order).
+        dep_count = [0] * n
+        fan_out: Dict[int, List[int]] = {}
         for consumer, producer in program.edges:
-            dependents[producer].append(consumer)
+            dep_count[consumer] += 1
+            fan_out.setdefault(producer, []).append(consumer)
+        self.dep_count: List[int] = dep_count
+        # Tuples of ints: once the collector has seen them it stops
+        # tracking them, so a tape kept alive costs no later collection.
+        dependents: List[Tuple[int, ...]] = [()] * n
+        for producer, consumers in fan_out.items():
+            dependents[producer] = tuple(consumers)
         self.dependents = dependents
 
-        self.start_effects = [self._compile(i.start_effects) for i in instrs]
-        self.done_effects = [self._compile(i.done_effects) for i in instrs]
+        self.start_effects = [
+            _compile(i.start_effects) if i.start_effects else None for i in instrs
+        ]
+        self.done_effects = [
+            _compile(i.done_effects) if i.done_effects else None for i in instrs
+        ]
 
-    def _compile(self, effects) -> Optional[List[tuple]]:
-        """Encode an effect list as opcode tuples (book index -1 = host)."""
-        if not effects:
-            return None
-        ops: List[tuple] = []
-        for eff in effects:
-            if isinstance(eff, Alloc):
-                ops.append((_ALLOC, -1 if eff.device == HOST else eff.device,
-                            eff.size, eff.tag))
-            elif isinstance(eff, Drop):
-                ops.append((_DROP, -1 if eff.device == HOST else eff.device,
-                            eff.size, eff.tag))
-            elif isinstance(eff, Pin):
-                ops.append((_PIN, eff.size))
-            elif isinstance(eff, Unpin):
-                ops.append((_UNPIN, eff.size))
-            elif isinstance(eff, Record):
-                ops.append((_RECORD, eff.kind, eff.device, eff.microbatch,
-                            eff.layer))
-            else:  # pragma: no cover - exhaustive over Effect
-                raise TypeError(f"unknown effect {eff!r}")
-        return ops
+
+def _compile(effects) -> Tuple[tuple, ...]:
+    """Encode an effect list as opcode tuples (book index -1 = host).
+
+    Dispatches on the exact effect type, most frequent first (nearly
+    every instruction publishes one Record).  The result is a tuple of
+    tuples of atoms, which the collector stops tracking.
+    """
+    ops: List[tuple] = []
+    for eff in effects:
+        kind = type(eff)
+        if kind is Record:
+            ops.append((_RECORD, eff.kind, eff.device, eff.microbatch, eff.layer))
+        elif kind is Alloc or kind is Drop:
+            ops.append((_ALLOC if kind is Alloc else _DROP,
+                        -1 if eff.device == HOST else eff.device,
+                        eff.size, eff.tag))
+        elif kind is Pin:
+            ops.append((_PIN, eff.size))
+        elif kind is Unpin:
+            ops.append((_UNPIN, eff.size))
+        else:  # pragma: no cover - exhaustive over Effect
+            raise TypeError(f"unknown effect {eff!r}")
+    return tuple(ops)
 
 
 @dataclass
@@ -188,7 +201,9 @@ class EngineSnapshot:
     heap, per-instruction states and start times, per-stream dispatch
     cursors, and the sizes/usage of every memory book and the trace.
     Book timelines and trace rows are *not* copied — a resume slices
-    the prefix out of the originating run's (append-only) lists.
+    the prefix out of the originating run's (append-only) lists.  The
+    pool streams' ready heaps are not kept either: they are a function
+    of ``states`` and ``dep_remaining`` and are rebuilt on resume.
     """
 
     now: float
@@ -201,7 +216,6 @@ class EngineSnapshot:
     starts: List[float]
     heads: List[int]
     running: List[int]
-    scans: List[int]
     # Per book (gpu0..gpuN, host): (in_use, peak, tags, len(timeline), len(events))
     books: List[Tuple[int, int, Dict[str, int], int, int]]
     pinned: Tuple[int, int]
@@ -244,8 +258,9 @@ class FastInterpreter:
         self.ends: List[float] = [0.0] * n
         n_streams = len(self.tape.stream_keys)
         self.heads: List[int] = [0] * n_streams          # fifo dispatch cursor
-        self.scans: List[int] = [0] * n_streams          # pool done-prefix skip
         self.running: List[int] = [-1] * n_streams
+        self.ready: List[List[int]] = []
+        self.rebuild_ready()
         self._heap: List[tuple] = []
         self._counter = 0
         self._now = 0.0
@@ -279,6 +294,21 @@ class FastInterpreter:
                 "FastInterpreter is single-use; build a new one per run"
             )
         self._ran = True
+
+    def rebuild_ready(self) -> None:
+        """Recompute every pool stream's ready heap from the states.
+
+        A pending member whose producers have all finished is ready.
+        The lists come out in iid order, which is already a valid heap.
+        """
+        tape = self.tape
+        states = self.states
+        dep_remaining = self.dep_remaining
+        ready: List[List[int]] = [[] for _ in tape.stream_keys]
+        for iid, s in enumerate(tape.pool_of):
+            if s >= 0 and states[iid] == _PENDING and dep_remaining[iid] == 0:
+                ready[s].append(iid)
+        self.ready = ready
 
     def finalize(self, makespan: float) -> SimulationResult:
         return SimulationResult(
@@ -315,9 +345,7 @@ class FastInterpreter:
             book = self.books[dev]
             book.alloc(eff.size, 0.0, tag=eff.tag)
             if record and dev >= 0:
-                counters.append(
-                    CounterSample(device=dev, time=0.0, bytes_in_use=book.in_use)
-                )
+                counters.append(CounterSample(dev, 0.0, book.in_use))
 
     def _kick_all(self) -> None:
         for s in range(len(self.tape.stream_keys)):
@@ -327,33 +355,23 @@ class FastInterpreter:
         if self.running[s] >= 0:
             return
         tape = self.tape
-        members = tape.members[s]
         states = self.states
-        dep_remaining = self.dep_remaining
         if tape.stream_modes[s] == "fifo":
+            members = tape.members[s]
             head = self.heads[s]
             if head >= len(members):
                 return
             iid = members[head]
-            if states[iid] != _PENDING or dep_remaining[iid] != 0:
+            if states[iid] != _PENDING or self.dep_remaining[iid] != 0:
                 return
         else:
-            # Pool arbitration: first pending+ready task in submission
-            # order among the not-yet-done members (the reference scans
-            # a deque that pop_done removes finished tasks from).
-            scan = self.scans[s]
-            limit = len(members)
-            while scan < limit and states[members[scan]] == _DONE:
-                scan += 1
-            self.scans[s] = scan
-            iid = -1
-            for pos in range(scan, limit):
-                candidate = members[pos]
-                if states[candidate] == _PENDING and dep_remaining[candidate] == 0:
-                    iid = candidate
-                    break
-            if iid < 0:
+            # Pool arbitration: the first pending+ready member in
+            # submission order (the reference scans its deque for it),
+            # which is the smallest iid on the stream's ready heap.
+            ready = self.ready[s]
+            if not ready:
                 return
+            iid = heapq.heappop(ready)
         now = self._now
         states[iid] = _RUNNING
         self.running[s] = iid
@@ -382,8 +400,12 @@ class FastInterpreter:
             self._apply(effects, iid, now)
         dependents = tape.dependents[iid]
         dep_remaining = self.dep_remaining
+        pool_of = tape.pool_of
         for consumer in dependents:
-            dep_remaining[consumer] -= 1
+            left = dep_remaining[consumer] - 1
+            dep_remaining[consumer] = left
+            if left == 0 and pool_of[consumer] >= 0:
+                heapq.heappush(self.ready[pool_of[consumer]], consumer)
         # Own stream first, then dependents' streams in edge order —
         # the engine's exact wake-up discipline.
         self._try_start(s)
@@ -395,41 +417,31 @@ class FastInterpreter:
                 seen.add(cs)
                 self._try_start(cs)
 
-    def _apply(self, effects: List[tuple], iid: int, now: float) -> None:
+    def _apply(self, effects: Tuple[tuple, ...], iid: int, now: float) -> None:
         books = self.books
         record = self._record
         for op in effects:
             code = op[0]
-            if code == _ALLOC:
+            if code == _RECORD:
+                if record:
+                    self.trace.record(
+                        TraceEvent(self.tape.names[iid], op[1], op[2], op[3],
+                                   self.starts[iid], now, op[4])
+                    )
+            elif code == _ALLOC:
                 book = books[op[1]]
                 book.alloc(op[2], now, tag=op[3])
                 if record and op[1] >= 0:
-                    self.trace.counters.append(
-                        CounterSample(device=op[1], time=now, bytes_in_use=book.in_use)
-                    )
+                    self.trace.counters.append(CounterSample(op[1], now, book.in_use))
             elif code == _DROP:
                 book = books[op[1]]
                 book.free(op[2], now, tag=op[3])
                 if record and op[1] >= 0:
-                    self.trace.counters.append(
-                        CounterSample(device=op[1], time=now, bytes_in_use=book.in_use)
-                    )
+                    self.trace.counters.append(CounterSample(op[1], now, book.in_use))
             elif code == _PIN:
                 self.pinned.take(op[1])
-            elif code == _UNPIN:
+            else:  # _UNPIN
                 self.pinned.give(op[1])
-            elif record:  # _RECORD
-                self.trace.record(
-                    TraceEvent(
-                        name=self.tape.names[iid],
-                        kind=op[1],
-                        device=op[2],
-                        microbatch=op[3],
-                        start=self.starts[iid],
-                        end=now,
-                        layer=op[4],
-                    )
-                )
 
     def _loop(self) -> float:
         heap = self._heap
@@ -473,7 +485,6 @@ class FastInterpreter:
             starts=list(self.starts),
             heads=list(self.heads),
             running=list(self.running),
-            scans=list(self.scans),
             books=[
                 (b.in_use, b.peak, dict(b._tags), len(b.timeline), len(b.events))
                 for b in self.books

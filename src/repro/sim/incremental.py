@@ -18,7 +18,7 @@ Soundness argument (tested property-by-property in
 * An instruction is **tainted** if its name, payload, stream,
   effects, producer-name list, or same-stream predecessor changed.
   Untainted instructions behave identically *until some tainted
-  instruction starts*: FIFO heads and pool arbitration scan over the
+  instruction starts*: FIFO heads and pool arbitration pick from the
   same member sequence (the predecessor signature pins per-stream
   order), and a pending-not-ready tainted member blocks/yields
   exactly like its old self.
@@ -39,6 +39,11 @@ Soundness argument (tested property-by-property in
 
 Everything at a strictly earlier simulated time — heap contents,
 memory books, trace rows, stream cursors — is therefore byte-reusable.
+
+A resume also needs the same t=0 state, stream registration order and
+options (:func:`_resumable`).  :meth:`IncrementalSimulator.run` checks
+those first and runs a failing pair in full without diffing it; on the
+planner's candidate streams that is the common case.
 """
 
 from __future__ import annotations
@@ -84,6 +89,20 @@ class ProgramDiff:
     n_tainted: int
 
 
+def _resumable(old: InstructionProgram, new: InstructionProgram) -> bool:
+    """Whether a run of ``old`` can be resumed as a run of ``new``.
+
+    Same t=0 state, same stream registration order, same options: the
+    three things a snapshot cannot remap.  Cheap next to the
+    instruction match, so :class:`IncrementalSimulator` asks it first.
+    """
+    return (
+        old.static_effects == new.static_effects
+        and old.stream_order == new.stream_order
+        and old.options == new.options
+    )
+
+
 def _body(instr) -> dict:
     payload = dict(vars(instr))
     payload.pop("iid", None)
@@ -114,11 +133,7 @@ def diff_programs(
     new_index = {i.name: i.iid for i in new_instrs}
     if len(old_index) != len(old_instrs) or len(new_index) != len(new_instrs):
         return bail  # duplicate names: name-keyed matching unsound
-    resumable = (
-        old.static_effects == new.static_effects
-        and old.stream_order == new.stream_order
-        and old.options == new.options
-    )
+    resumable = _resumable(old, new)
 
     def edge_views(program):
         instrs = program.instructions
@@ -292,7 +307,11 @@ class IncrementalSimulator:
             self._last = None
             return run_program(program)
         art = self._last
-        if art is not None and art.program.job is program.job:
+        if (
+            art is not None
+            and art.program.job is program.job
+            and _resumable(art.program, program)
+        ):
             diff = diff_programs(art.program, program, art.ends, art.starts)
             if diff.identical and diff.resumable:
                 self.n_memoized += 1
@@ -402,8 +421,8 @@ class IncrementalSimulator:
                 if head == len(members) and states[iid] != _DONE:
                     head = pos
             interp.heads[s] = head
-            interp.scans[s] = head
             interp.running[s] = running
+        interp.rebuild_ready()
 
         for book, old_book, saved in zip(interp.books, art.books, snapshot.books):
             in_use, peak, tags, n_timeline, n_events = saved

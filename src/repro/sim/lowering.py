@@ -7,10 +7,12 @@ set.  The interpreter (:mod:`repro.sim.interpreter`) replays the
 result; nothing here touches the event loop.
 
 A :class:`Lowering` is bound to one ``(job, options)`` pair and caches
-everything *plan-independent* — the data-flow program and the tensor
-classification — so the planner's emulate-candidate-plans loop pays
-for that graph walk exactly once and only re-runs the cheap per-plan
-instruction emission (:meth:`Lowering.lower`).  The module-level
+everything *plan-independent* — the data-flow program, the tensor
+classification, each node's key and op string, each stage's per-layer
+FLOPs and the cross-stage transfer names and sizes — so the planner's
+emulate-candidate-plans loop pays for that graph walk exactly once and
+only re-runs the cheap per-plan instruction emission
+(:meth:`Lowering.lower`).  The module-level
 :func:`skeleton_build_count` counter makes that reuse testable.
 
 Ordering is load-bearing throughout (see :mod:`repro.sim.ir`): the
@@ -21,11 +23,11 @@ is what keeps the golden chrome-trace digests byte-identical.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, NamedTuple, Optional, Tuple
 
 from repro.core.plan import Action, MemorySavingPlan, empty_plan, validate_plan
 from repro.errors import SimulationError
-from repro.graph.dataflow import ComputeNode, Program, build_program
+from repro.graph.dataflow import ComputeNode, NodeKey, Program, build_program
 from repro.graph.tensor import TensorClass, TensorKind, tensor_classes_for
 from repro.hardware.bandwidth import transfer_time
 from repro.job import TrainingJob
@@ -64,6 +66,36 @@ def skeleton_build_count() -> int:
     return _SKELETON_BUILDS
 
 
+class _LayerCost(NamedTuple):
+    """One layer of a stage's compute chain, priced once per skeleton."""
+
+    layer: object        # the model's LayerSpec
+    index: int
+    forward_flops: float
+    suffix: str          # ".l{index}", the tail of its instruction names
+
+
+class _NodeInfo(NamedTuple):
+    """One compute node with its plan-independent naming."""
+
+    node: ComputeNode
+    key: NodeKey
+    op: str              # ``node.kind.value``
+    prefix: str          # "{op}.s{stage}.m{microbatch}"
+
+
+class _Transfer(NamedTuple):
+    """One cross-stage activation/gradient transfer (producer -> consumer)."""
+
+    name: str
+    size: int
+    producer: NodeKey
+    producer_stage: int
+    consumer: NodeKey
+    consumer_stage: int
+    microbatch: int
+
+
 class Lowering:
     """Caches the plan-independent skeleton; lowers plans on demand."""
 
@@ -83,11 +115,59 @@ class Lowering:
                 self.stage_acts.setdefault(cls.stage, []).append(cls)
         for acts in self.stage_acts.values():
             acts.sort(key=lambda c: c.layer)
+        # (stage, layer) -> the stage's first activation class of that layer.
+        self.act_class: Dict[Tuple[int, int], TensorClass] = {}
+        for stage, acts in self.stage_acts.items():
+            for cls in acts:
+                self.act_class.setdefault((stage, cls.layer), cls)
         self.by_kind: Dict[Tuple[str, int], TensorClass] = {
             (cls.kind.value, cls.stage): cls
             for cls in self.classes
             if cls.kind in (TensorKind.OPTIMIZER_STATE, TensorKind.STASHED_PARAMS)
         }
+
+        # Per stage: the forward chain in layer order and the backward
+        # chain reversed, each layer's FLOPs computed once.
+        self.chains: List[Tuple[Tuple[_LayerCost, ...], Tuple[_LayerCost, ...]]] = []
+        for stage_index in range(job.n_stages):
+            forward = tuple(
+                _LayerCost(layer, layer.index,
+                           layer.forward_flops(job.microbatch_size),
+                           f".l{layer.index}")
+                for layer in job.stage_plan.stage(stage_index).layers
+            )
+            self.chains.append((forward, forward[::-1]))
+        # Per stage, in issue order: every node with its key and names.
+        self.nodes: List[List[_NodeInfo]] = [
+            [
+                _NodeInfo(node, node.key, node.kind.value,
+                          f"{node.kind.value}.s{node.stage}.m{node.microbatch}")
+                for node in stage_nodes
+            ]
+            for stage_nodes in self.program.per_stage
+        ]
+        # Data edges in node order: same-stage ones as (consumer, producer)
+        # node keys, cross-stage ones as transfers.
+        self.local_edges: List[Tuple[NodeKey, NodeKey]] = []
+        self.transfers: List[_Transfer] = []
+        bpe = job.bytes_per_element
+        for node in self.program.nodes():
+            for dep in node.deps:
+                if dep.stage == node.stage:
+                    self.local_edges.append((node.key, dep.key))
+                    continue
+                size = job.stage_plan.stage(min(dep.stage, node.stage)).boundary_bytes(
+                    job.microbatch_size, bpe
+                )
+                self.transfers.append(_Transfer(
+                    name=f"comm.{dep.name}->{node.name}",
+                    size=size,
+                    producer=dep.key,
+                    producer_stage=dep.stage,
+                    consumer=node.key,
+                    consumer_stage=node.stage,
+                    microbatch=node.microbatch,
+                ))
 
     def lower(self, plan: Optional[MemorySavingPlan] = None) -> InstructionProgram:
         """Emit the instruction program of one candidate plan."""
@@ -125,8 +205,10 @@ class _PlanLowering:
         # (stage, microbatch, layer) -> per-layer compute instruction.
         self._fwd_layer: Dict[tuple, int] = {}
         self._bwd_layer: Dict[tuple, int] = {}
-        # Per-stage compute instructions in issue order (anchors).
+        # Per-stage compute instructions in issue order (anchors), and
+        # each one's position in that order.
         self._stage_order: Dict[int, List[int]] = {}
+        self._stage_pos: Dict[int, Dict[int, int]] = {}
 
     # -- builder primitives ------------------------------------------------
 
@@ -152,16 +234,8 @@ class _PlanLowering:
         iid = len(self.drafts)
         self.drafts.append(
             _InstructionDraft(
-                factory=factory,
-                iid=iid,
-                name=name,
-                stream=stream,
-                mode=mode,
-                duration=duration,
-                device=device,
-                start_effects=list(start),
-                done_effects=list(done),
-                fields=dict(fields),
+                factory, iid, name, stream, mode, duration, device,
+                start, done, fields,
             )
         )
         for dep in deps:
@@ -170,6 +244,17 @@ class _PlanLowering:
 
     def _edge(self, consumer: int, producer: int) -> None:
         self.edges.append((consumer, producer))
+
+    # Effect sequences stay tuples (what the frozen instruction holds);
+    # the few that grow after emission are rebuilt.
+
+    def _on_start(self, iid: int, effect) -> None:
+        draft = self.drafts[iid]
+        draft.start_effects = (*draft.start_effects, effect)
+
+    def _on_done(self, iid: int, effect) -> None:
+        draft = self.drafts[iid]
+        draft.done_effects = (*draft.done_effects, effect)
 
     def build(self) -> InstructionProgram:
         self._lower_static()
@@ -230,14 +315,17 @@ class _PlanLowering:
         paper's up-to-33% recompute delay, Section II-D).
         """
         job = self.job
-        for stage_index, stage_nodes in enumerate(self.skel.program.per_stage):
+        for stage_index, stage_nodes in enumerate(self.skel.nodes):
             device = self._device(stage_index)
             stream = ("compute", device)
             self._touch_stream(stream, "fifo")
             order: List[int] = []
             self._stage_order[stage_index] = order
-            layers = job.stage_plan.stage(stage_index).layers
-            for node in stage_nodes:
+            # Same value as ``job._throughput(device)``, read once per stage.
+            rate = job.server.gpu(device).peak_flops(job.precision) * job.mfu
+            chains = self.skel.chains[stage_index]
+            for info in stage_nodes:
+                node = info.node
                 if node.kind is OpKind.OPTIMIZER:
                     iid = self._emit(
                         OptimStep,
@@ -250,90 +338,89 @@ class _PlanLowering:
                         stage=node.stage,
                         minibatch=node.minibatch,
                     )
-                    self._node_first[node.key] = iid
-                    self._node_last[node.key] = iid
+                    self._node_first[info.key] = iid
+                    self._node_last[info.key] = iid
                     order.append(iid)
                     continue
-                first, last = self._lower_layer_chain(node, layers, device, stream, order)
-                self._node_first[node.key] = first
-                self._node_last[node.key] = last
+                forward = node.kind is OpKind.FORWARD
+                first, last = self._lower_layer_chain(
+                    info, chains[0] if forward else chains[1], forward,
+                    rate, device, stream, order,
+                )
+                self._node_first[info.key] = first
+                self._node_last[info.key] = last
+            self._stage_pos[stage_index] = {iid: pos for pos, iid in enumerate(order)}
         # Cross-node dependencies (same-stage fwd->bwd data edges).
-        for node in self.skel.program.nodes():
-            for dep in node.deps:
-                if dep.stage == node.stage:
-                    self._edge(self._node_first[node.key], self._node_last[dep.key])
+        for consumer, producer in self.skel.local_edges:
+            self._edge(self._node_first[consumer], self._node_last[producer])
 
     def _lower_layer_chain(
         self,
-        node: ComputeNode,
-        layers,
+        info: _NodeInfo,
+        chain: Tuple[_LayerCost, ...],
+        forward: bool,
+        rate: float,
         device: int,
         stream: Hashable,
         order: List[int],
     ) -> Tuple[int, int]:
-        job = self.job
-        mb = node.microbatch
-        forward = node.kind is OpKind.FORWARD
-        chain = layers if forward else list(reversed(layers))
+        stage = info.node.stage
+        mb = info.node.microbatch
+        op = info.op
+        prefix = info.prefix
+        layer_iids = self._fwd_layer if forward else self._bwd_layer
+        plan = self.plan
+        act_class = self.skel.act_class
         first: Optional[int] = None
         last: Optional[int] = None
-        for layer in chain:
-            flops = layer.forward_flops(job.microbatch_size)
-            duration = (flops if forward else 2.0 * flops) / (
-                job.server.gpu(device).peak_flops(job.precision) * job.mfu
-            )
-            if not forward:
-                self._maybe_lower_recompute(node.stage, mb, layer, device, stream, order)
+        for cost in chain:
+            index = cost.index
+            if forward:
+                duration = cost.forward_flops / rate
+            else:
+                duration = 2.0 * cost.forward_flops / rate
+                cls = act_class.get((stage, index))
+                if cls is not None and plan.action_for(cls) is Action.RECOMPUTE:
+                    self._lower_recompute(stage, mb, cost, rate, device, stream, order)
             iid = self._emit(
                 Compute,
-                name=f"{node.kind.value}.s{node.stage}.m{mb}.l{layer.index}",
-                stream=stream,
-                mode="fifo",
-                duration=duration,
-                done=(Record(node.kind.value, device, mb, layer.index),),
+                prefix + cost.suffix,
+                stream,
+                "fifo",
+                duration,
+                done=(Record(op, device, mb, index),),
                 device=device,
-                stage=node.stage,
+                stage=stage,
                 microbatch=mb,
-                layer=layer.index,
-                op=node.kind.value,
+                layer=index,
+                op=op,
             )
             order.append(iid)
-            key = (node.stage, mb, layer.index)
-            if forward:
-                self._fwd_layer[key] = iid
-            else:
-                self._bwd_layer[key] = iid
+            layer_iids[(stage, mb, index)] = iid
             if first is None:
                 first = iid
             last = iid
         return first, last
 
-    def _maybe_lower_recompute(
-        self, stage: int, mb: int, layer, device: int, stream: Hashable, order: List[int]
+    def _lower_recompute(
+        self, stage: int, mb: int, cost: _LayerCost, rate: float, device: int,
+        stream: Hashable, order: List[int],
     ) -> None:
-        cls = self._activation_class(stage, layer.index)
-        if cls is None or self.plan.action_for(cls) is not Action.RECOMPUTE:
-            return
+        index = cost.index
         iid = self._emit(
             Recompute,
-            name=f"recompute.s{stage}.m{mb}.l{layer.index}",
+            name=f"recompute.s{stage}.m{mb}{cost.suffix}",
             stream=stream,
             mode="fifo",
-            duration=self.job.layer_forward_time(layer, device),
-            done=(Record("recompute", device, mb, layer.index),),
+            duration=cost.forward_flops / rate,
+            done=(Record("recompute", device, mb, index),),
             device=device,
             stage=stage,
             microbatch=mb,
-            layer=layer.index,
+            layer=index,
         )
         order.append(iid)
-        self._fwd_layer[("recompute", stage, mb, layer.index)] = iid
-
-    def _activation_class(self, stage: int, layer_index: int) -> Optional[TensorClass]:
-        for cls in self.skel.stage_acts.get(stage, []):
-            if cls.layer == layer_index:
-                return cls
-        return None
+        self._fwd_layer[("recompute", stage, mb, index)] = iid
 
     # -- communication -----------------------------------------------------
 
@@ -386,25 +473,17 @@ class _PlanLowering:
 
     def _lower_comm(self) -> None:
         """Activation/gradient transfers between adjacent stages."""
-        job = self.job
-        bpe = job.bytes_per_element
-        for node in self.skel.program.nodes():
-            for dep in node.deps:
-                if dep.stage == node.stage:
-                    continue
-                size = job.stage_plan.stage(min(dep.stage, node.stage)).boundary_bytes(
-                    job.microbatch_size, bpe
-                )
-                comm = self._lower_link(
-                    name=f"comm.{dep.name}->{node.name}",
-                    size=size,
-                    src_dev=self._device(dep.stage),
-                    dst_dev=self._device(node.stage),
-                    deps=(self._node_last[dep.key],),
-                    kind="comm",
-                    microbatch=node.microbatch,
-                )
-                self._edge(self._node_first[node.key], comm)
+        for transfer in self.skel.transfers:
+            comm = self._lower_link(
+                name=transfer.name,
+                size=transfer.size,
+                src_dev=self._device(transfer.producer_stage),
+                dst_dev=self._device(transfer.consumer_stage),
+                deps=(self._node_last[transfer.producer],),
+                kind="comm",
+                microbatch=transfer.microbatch,
+            )
+            self._edge(self._node_first[transfer.consumer], comm)
 
     # -- activation memory ops ---------------------------------------------
 
@@ -487,14 +566,14 @@ class _PlanLowering:
         tag = f"act.s{cls.stage}.l{cls.layer}.m{mb}"
         size = cls.size
         if action is Action.NONE:
-            self.drafts[fwd].start_effects.append(Alloc(device, size, tag))
-            self.drafts[bwd].done_effects.append(Drop(device, size, tag))
+            self._on_start(fwd, Alloc(device, size, tag))
+            self._on_done(bwd, Drop(device, size, tag))
             return None
         if action is Action.RECOMPUTE:
             self._wire_recompute(cls, device, mb, fwd, bwd, tag)
             return None
-        self.drafts[fwd].start_effects.append(Alloc(device, size, tag))
-        self.drafts[bwd].done_effects.append(Drop(device, size, tag))
+        self._on_start(fwd, Alloc(device, size, tag))
+        self._on_done(bwd, Drop(device, size, tag))
         anchor = self._anchor_before(cls.stage, bwd)
         entry = self.plan.entry_for(cls)
         if action is Action.CPU_SWAP:
@@ -509,11 +588,10 @@ class _PlanLowering:
 
     def _anchor_before(self, stage: int, consumer: int) -> Optional[int]:
         """Compute instruction ``prefetch_lead`` positions before ``consumer``."""
-        order = self._stage_order[stage]
-        try:
-            position = order.index(consumer)
-        except ValueError:
+        position = self._stage_pos[stage].get(consumer)
+        if position is None:
             return None
+        order = self._stage_order[stage]
         anchor_pos = position - self.options.prefetch_lead
         if anchor_pos < 0:
             return None
@@ -533,11 +611,11 @@ class _PlanLowering:
             self.job.microbatch_size, self.job.bytes_per_element
         )
         internals = max(0, cls.size - boundary)
-        self.drafts[fwd].start_effects.append(Alloc(device, cls.size, tag))
-        self.drafts[fwd].done_effects.append(Drop(device, internals, tag))
+        self._on_start(fwd, Alloc(device, cls.size, tag))
+        self._on_done(fwd, Drop(device, internals, tag))
         recompute = self._fwd_layer[("recompute", cls.stage, mb, cls.layer)]
-        self.drafts[recompute].start_effects.append(Alloc(device, internals, tag))
-        self.drafts[bwd].done_effects.append(Drop(device, cls.size, tag))
+        self._on_start(recompute, Alloc(device, internals, tag))
+        self._on_done(bwd, Drop(device, cls.size, tag))
 
     def _wire_cpu_swap(
         self,
@@ -740,8 +818,8 @@ class _PlanLowering:
         bwd_first = self._node_first[bwd_key]
         bwd_last = self._node_last[bwd_key]
         tag = f"stash.s{stage}.m{mb}"
-        self.drafts[fwd_last].done_effects.append(Alloc(device, cls.size, tag))
-        self.drafts[bwd_last].done_effects.append(Drop(device, cls.size, tag))
+        self._on_done(fwd_last, Alloc(device, cls.size, tag))
+        self._on_done(bwd_last, Drop(device, cls.size, tag))
         if action is Action.NONE:
             return None
         if window is not None and len(history) >= window:

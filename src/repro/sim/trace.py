@@ -9,15 +9,18 @@ are derived.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     """One completed task occurrence.
 
     ``layer`` is the model-wide layer index for per-layer compute
     events, or -1 for stage-level events (optimizer steps, swaps).
+
+    Trace rows are immutable named tuples, not dataclasses: a run
+    builds one per completed instruction, and a tuple is the cheapest
+    immutable record CPython can build.  Read fields by name.
     """
 
     name: str
@@ -33,8 +36,7 @@ class TraceEvent:
         return self.end - self.start
 
 
-@dataclass(frozen=True)
-class CounterSample:
+class CounterSample(NamedTuple):
     """One per-device memory-usage sample (for counter tracks).
 
     Samples live alongside — never inside — ``events``: trace digests

@@ -37,6 +37,7 @@ from repro.models.layers import build_model
 from repro.parallel.cluster import ClusterPlacement, cluster_placement
 from repro.parallel.placement import ReplicaPlacement
 from repro.runtime.task import SimTask, execute_task
+from repro.sim.fastpath import FastInterpreter
 from repro.units import GBps, GiB
 from tests.conftest import TINY_GPU, small_server, tiny_job
 
@@ -273,6 +274,35 @@ class TestAutoplan:
                     "samples_per_second", "cache_key"):
             assert key in row
         assert report.summary().startswith("autoplan over")
+
+    def test_healthy_search_reports_no_failures(self, job, cluster):
+        report = autoplan(job, cluster)
+        payload = report.to_json(job)
+        assert report.n_failed == payload["counters"]["n_failed"] == 0
+        assert all(row.error is None for row in report.ranked)
+        assert all(row["error"] is None for row in payload["ranked"])
+
+    def test_simulator_crash_is_reported_not_hidden(self, job, cluster,
+                                                    monkeypatch):
+        """A frontier task that raises keeps its error text on its row,
+        in ``to_json`` and in the counters."""
+        def crash(self):
+            raise RuntimeError("simulated simulator crash")
+
+        monkeypatch.setattr(FastInterpreter, "_loop", crash)
+        report = autoplan(job, cluster)
+        frontier = [row for row in report.ranked if row.simulated]
+        assert frontier
+        assert report.n_failed == len(frontier) == report.n_simulated
+        for row in frontier:
+            assert row.ok is False and row.record is None
+            assert "RuntimeError: simulated simulator crash" in row.error
+        payload = report.to_json(job)
+        assert payload["counters"]["n_failed"] == report.n_failed
+        assert payload["best"]["error"] == report.best.error
+        assert all("simulated simulator crash" in row["error"]
+                   for row in payload["ranked"] if row["simulated"])
+        assert "failed" in report.summary()
 
     def test_infeasible_budget_reports_rejections(self, job, cluster):
         report = autoplan(job, cluster, budget_gib=2 ** -20)  # 1 KiB

@@ -24,9 +24,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.mpress import MPress
+from repro.core.plan import empty_plan
 from repro.core.planner import baseline_config
 from repro.runtime.task import SimTask, execute_task, trace_digest
 from repro.sim.fastpath import (
+    FastInterpreter,
     fast_path_runs,
     reference_runs,
     run_program,
@@ -34,7 +36,14 @@ from repro.sim.fastpath import (
 )
 from repro.sim.incremental import IncrementalSimulator
 from repro.sim.interpreter import Interpreter
-from repro.sim.ir import ExecOptions
+from repro.sim.ir import (
+    Alloc,
+    Barrier,
+    Drop,
+    ExecOptions,
+    InstructionProgram,
+    Record,
+)
 from repro.sim.lowering import Lowering
 from tests.conftest import small_server, tiny_job, tiny_model
 from tests.test_goldens import (
@@ -69,8 +78,6 @@ def _golden_program(name: str):
     task = golden_task(name)
     system = GOLDENS[name][4]
     if system == "none":
-        from repro.core.plan import empty_plan
-
         plan = empty_plan(task.job.n_stages)
         prefetch_lead = 3
     else:
@@ -193,3 +200,63 @@ def test_random_deltas_incremental_equals_reference(plan_pool, data):
     incremental = result_fingerprint(simulator.run(program))
     reference = result_fingerprint(Interpreter(program).run())
     assert incremental == reference
+
+
+# -- property: pool arbitration under late, out-of-order readiness -------------
+
+_DURATIONS = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0])
+
+
+@st.composite
+def late_ready_pool_programs(draw):
+    """Pool members gated on FIFO "gate" instructions that finish in an
+    order unrelated to the members' submission order, plus on each
+    other, across streams; durations collide often, so simultaneous
+    completions exercise every tie-break.  Producers always precede
+    their consumers, so no program deadlocks."""
+    job = tiny_job()
+    n_fifo = draw(st.integers(1, 3), label="gate streams")
+    n_pool = draw(st.integers(1, 3), label="pool streams")
+    instructions = []
+    edges = []
+    for g in range(draw(st.integers(1, 10), label="gates")):
+        instructions.append(Barrier(
+            iid=len(instructions), name=f"gate{g}",
+            stream=("gate", draw(st.integers(0, n_fifo - 1))),
+            stream_mode="fifo", duration=draw(_DURATIONS), device=0,
+            done_effects=(Record("gate", 0, g),)))
+    for m in range(draw(st.integers(2, 30), label="pool members")):
+        iid = len(instructions)
+        tag = f"t{m}"
+        instructions.append(Barrier(
+            iid=iid, name=f"member{m}",
+            stream=("lane", draw(st.integers(0, n_pool - 1))),
+            stream_mode="pool", duration=draw(_DURATIONS), device=0,
+            start_effects=(Alloc(0, 1024, tag),),
+            done_effects=(Drop(0, 1024, tag), Record("comm", 0, m))))
+        for producer in draw(st.lists(st.integers(0, iid - 1), max_size=3)):
+            edges.append((iid, producer))
+    streams = list(dict.fromkeys(i.stream for i in instructions))
+    modes = {i.stream: i.stream_mode for i in instructions}
+    order = draw(st.permutations(streams), label="stream registration order")
+    return InstructionProgram(
+        job=job,
+        plan=empty_plan(job.n_stages),
+        options=ExecOptions(strict=False),
+        instructions=tuple(instructions),
+        edges=tuple(draw(st.permutations(edges), label="edge order")),
+        static_effects=(),
+        stream_order=tuple((key, modes[key]) for key in order),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(program=late_ready_pool_programs())
+def test_pool_ready_heaps_pick_like_the_reference_scan(program):
+    """The fast path's per-stream ready heaps start the same member at
+    the same instant as the reference engine's linear scan."""
+    fast = FastInterpreter(program).run()
+    reference = Interpreter(program).run()
+    assert result_fingerprint(fast) == result_fingerprint(reference)
+    assert ([(e.name, e.start, e.end) for e in fast.trace.events]
+            == [(e.name, e.start, e.end) for e in reference.trace.events])

@@ -155,3 +155,40 @@ def test_as_server_presents_all_gpus():
     assert flat.topology.kind == "cluster"
     assert flat.name == "2x-dgx1"
     assert flat.host == cluster.servers[0].host
+
+
+def test_gpu_table_matches_the_server_ranges():
+    """The precomputed GPU -> (server, local) table agrees with the
+    contiguous server ranges on a heterogeneous cluster."""
+    from tests.conftest import small_server
+
+    cluster = Cluster(name="mixed",
+                      servers=(small_server(), dgx1_server(), small_server()))
+    topo = cluster.topology
+    offsets = topo.server_offsets()
+    assert topo.n_gpus == sum(s.n_gpus for s in cluster.servers)
+    assert len({s.n_gpus for s in cluster.servers}) == 2
+    for gpu in range(topo.n_gpus):
+        server = max(s for s, start in enumerate(offsets) if start <= gpu)
+        assert topo.server_of(gpu) == server
+        assert topo.local_index(gpu) == (server, gpu - offsets[server])
+    for bad in (-1, topo.n_gpus):
+        with pytest.raises(TopologyError, match="out of range"):
+            topo.local_index(bad)
+        with pytest.raises(TopologyError, match="out of range"):
+            topo.lanes(bad, 0)
+        with pytest.raises(TopologyError, match="out of range"):
+            topo.link_for(0, bad)
+
+
+def test_gpu_table_stays_out_of_identity(topo):
+    """The cached table is not a dataclass field: equality and
+    the canonical cache-key encoding ignore it."""
+    from repro.core.serialization import canonical_json
+
+    fresh = dgx1_cluster(2).topology
+    before = canonical_json(fresh)
+    topo.local_index(3)            # builds the table on ``topo`` only
+    assert "_gpu_table" in vars(topo) and "_gpu_table" not in vars(fresh)
+    assert topo == fresh
+    assert canonical_json(topo) == before

@@ -21,7 +21,15 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.inference import InferenceConfig
-from repro.jobspec import MAX_NODES, task_from_spec
+from repro.jobspec import (
+    MAX_HYBRID_DP,
+    MAX_INFERENCE_REQUESTS,
+    MAX_MICROBATCH_SIZE,
+    MAX_MICROBATCHES_PER_MINIBATCH,
+    MAX_MINIBATCHES,
+    MAX_NODES,
+    task_from_spec,
+)
 from repro.runtime import SimTask
 from repro.serve import parse_submit
 
@@ -150,3 +158,79 @@ def test_wrong_typed_value_names_its_key(extra, key):
     spec = dict({"model": "gpt-5.3", "server": "dgx1"}, **extra)
     with pytest.raises(ConfigurationError, match=key):
         parse_submit({"tasks": [spec]})
+
+
+def test_ignored_cluster_keys_on_one_box_are_rejected():
+    """A one-box, tp=1 spec used to drop wrong-typed cluster keys on
+    the floor and return a plain task."""
+    with pytest.raises(ConfigurationError, match="dp"):
+        task_from_spec({"model": "bert-0.35", "server": "dgx1", "dp": "x",
+                        "fabric": 5, "pp": [1], "sequence_parallel": "yes"})
+
+
+@pytest.mark.parametrize("extra, key", [
+    ({"dp": 2}, "dp"), ({"pp": 2}, "pp"), ({"fabric": "ib-hdr"}, "fabric"),
+    ({"fabric": 5}, "fabric"), ({"sequence_parallel": True},
+                                "sequence_parallel"),
+    ({"sequence_parallel": "yes"}, "sequence_parallel"),
+])
+def test_one_box_spec_names_the_cluster_key_it_would_ignore(extra, key):
+    spec = dict({"model": "bert-0.35", "server": "dgx1"}, **extra)
+    with pytest.raises(ConfigurationError, match=key):
+        task_from_spec(spec)
+
+
+def test_one_box_spec_may_spell_out_the_defaults():
+    task = task_from_spec({"model": "bert-0.35", "server": "dgx1", "dp": 1,
+                           "pp": 0, "fabric": "ib-edr",
+                           "sequence_parallel": False, "tp": 1, "nodes": 1})
+    assert task.cluster is None
+
+
+_BOUNDED = [
+    ("microbatch_size", MAX_MICROBATCH_SIZE, {}),
+    ("microbatches_per_minibatch", MAX_MICROBATCHES_PER_MINIBATCH, {}),
+    ("n_minibatches", MAX_MINIBATCHES, {}),
+    ("hybrid_dp", MAX_HYBRID_DP, {}),
+    ("n_requests", MAX_INFERENCE_REQUESTS, {"workload": "inference"}),
+]
+
+
+def _sized_spec(key, value, extra):
+    spec = {"model": "gpt-5.3", "server": "dgx1", **extra}
+    if key == "n_requests":
+        spec["inference"] = {key: value}
+    else:
+        spec[key] = value
+    return spec
+
+
+@pytest.mark.parametrize("key, bound, extra", _BOUNDED)
+def test_size_over_its_bound_names_key_and_bound(key, bound, extra):
+    for value in (bound + 1, 10**9):
+        with pytest.raises(ConfigurationError,
+                           match=f"{key} must be at most {bound}"):
+            task_from_spec(_sized_spec(key, value, extra))
+    assert isinstance(task_from_spec(_sized_spec(key, bound, extra)), SimTask)
+
+
+def test_size_bounds_sit_far_above_every_preset():
+    """Bounds leave room: the largest value any preset, golden or
+    benchmark uses is at most a tenth of its bound."""
+    from repro.runtime.presets import PRESETS
+
+    largest = {"microbatch_size": 0, "microbatches_per_minibatch": 0,
+               "n_minibatches": 0, "hybrid_dp": 0, "n_requests": 0}
+    for name in PRESETS:
+        for task in PRESETS[name]():
+            job = task.job
+            for key in ("microbatch_size", "microbatches_per_minibatch",
+                        "n_minibatches"):
+                largest[key] = max(largest[key], getattr(job, key))
+            if task.hybrid is not None:
+                largest["hybrid_dp"] = max(largest["hybrid_dp"], task.hybrid.dp)
+            if task.inference is not None:
+                largest["n_requests"] = max(largest["n_requests"],
+                                            task.inference.n_requests)
+    for key, bound, _extra in _BOUNDED:
+        assert 10 * largest[key] <= bound, (key, largest[key], bound)

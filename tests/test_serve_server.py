@@ -200,6 +200,19 @@ class TestEndpoints:
         key = "n_requests" if "inference" in extra else next(iter(extra))
         assert key in str(info.value)
 
+    @pytest.mark.parametrize("extra, key", [
+        ({"dp": 2}, "dp"), ({"sequence_parallel": True}, "sequence_parallel"),
+        ({"n_minibatches": 10**9}, "n_minibatches"),
+        ({"workload": "inference", "inference": {"n_requests": 10**9}},
+         "n_requests"),
+    ])
+    def test_ignored_or_oversized_spec_value_is_400(self, client, extra, key):
+        spec = dict({"model": "gpt-5.3", "server": "dgx1"}, **extra)
+        with pytest.raises(ServeError) as info:
+            client._request("/v1/jobs", {"tasks": [spec]})
+        assert info.value.status == 400
+        assert key in str(info.value)
+
     def test_oversized_body_is_413_before_it_is_read(self, server):
         from repro.serve.schemas import MAX_BODY_BYTES
 

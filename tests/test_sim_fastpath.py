@@ -1,13 +1,17 @@
 """Fast-path dispatch, tape compilation, and failure parity.
 
-Unit coverage for :mod:`repro.sim.fastpath`: when the vectorized
-tape interpreter is allowed to fire, how dispatch is counted, and
+Unit coverage for :mod:`repro.sim.fastpath`: when the tape
+interpreter is allowed to fire, how dispatch is counted, and
 that the failure modes (single-use reuse, OOM attribution, deadlock
 reporting) match the reference interpreter exactly.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -124,13 +128,38 @@ class TestTape:
         assert len(tape.stream_keys) == len(program.stream_order)
 
     def test_durations_are_plain_floats(self, program):
-        """np.float64 must not leak into results — records go through
-        json.dumps, which rejects numpy scalars."""
+        """Only Python floats reach the tape and the results — records
+        go through json.dumps."""
         tape = ProgramTape(program)
         assert all(type(d) is float for d in tape.durations)
         result = FastInterpreter(program).run()
         assert type(result.makespan) is float
         assert type(result.minibatch_time) is float
+
+    def test_simulation_needs_no_numpy(self):
+        """The package depends on nothing outside the standard library:
+        a fresh interpreter compiles a tape and replays a planned run
+        without importing numpy."""
+        script = (
+            "import sys\n"
+            "from repro.core.mpress import MPress\n"
+            "from repro.sim.fastpath import FastInterpreter, ProgramTape\n"
+            "from repro.sim.ir import ExecOptions\n"
+            "from repro.sim.lowering import Lowering\n"
+            "from tests.conftest import tiny_job\n"
+            "job = tiny_job()\n"
+            "program = Lowering(job, ExecOptions()).lower(MPress(job).build_plan())\n"
+            "tape = ProgramTape(program)\n"
+            "assert all(type(d) is float for d in tape.durations)\n"
+            "assert FastInterpreter(program, tape=tape).run().ok\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        )
+        root = Path(__file__).resolve().parent.parent
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root)])}
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
 
     def test_tape_is_reusable_across_runs(self, program):
         tape = ProgramTape(program)

@@ -17,7 +17,10 @@ from hypothesis import strategies as st
 
 from repro.core.emulator import Emulator
 from repro.core.mpress import MPress
+from repro.core.plan import empty_plan
 from repro.core.planner import Planner, PlannerConfig
+from repro.sim import incremental
+from repro.sim.fastpath import run_program
 from repro.sim.incremental import (
     IncrementalSimulator,
     diff_programs,
@@ -185,6 +188,35 @@ class TestResume:
         assert sim.n_resumed == 0
         assert result_fingerprint(result) == \
             result_fingerprint(Interpreter(program).run())
+
+
+class TestResumabilityPrecheck:
+    """A pair that cannot resume skips the instruction match entirely."""
+
+    def _pairs(self, pool):
+        job, plan, lowering = pool
+        other_options = Lowering(job, ExecOptions(strict=False, prefetch_lead=3))
+        return {
+            "options": (lowering.lower(plan), other_options.lower(plan)),
+            "stream_order": (lowering.lower(plan),
+                             lowering.lower(empty_plan(job.n_stages))),
+        }
+
+    @pytest.mark.parametrize("differs", ["options", "stream_order"])
+    def test_non_resumable_pair_never_diffs(self, pool, differs, monkeypatch):
+        old, new = self._pairs(pool)[differs]
+        assert getattr(old, differs) != getattr(new, differs)
+        assert not diff_programs(old, new).resumable
+        sim = IncrementalSimulator()
+        sim.run(old)
+
+        def no_diff(*args, **kwargs):
+            raise AssertionError("diff_programs called on a non-resumable pair")
+
+        monkeypatch.setattr(incremental, "diff_programs", no_diff)
+        result = sim.run(new)
+        assert (sim.n_full, sim.n_resumed, sim.n_memoized) == (2, 0, 0)
+        assert result_fingerprint(result) == result_fingerprint(run_program(new))
 
 
 class TestPlannerIntegration:

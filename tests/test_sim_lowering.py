@@ -120,6 +120,64 @@ class TestSkeletonReuse:
             interp.run()
 
 
+def _program_fields(program):
+    """Everything a lowered program says, with each instruction's
+    ``__dict__`` in order (comparison of the dataclasses alone would
+    not see the key order)."""
+    return (
+        [(type(i), list(vars(i).items())) for i in program.instructions],
+        program.edges,
+        program.static_effects,
+        program.stream_order,
+    )
+
+
+class TestSkeletonIsPlanFree:
+    def test_relowering_equals_a_fresh_lowering(self):
+        """Plans lowered back to back on one skeleton come out exactly
+        as on a fresh skeleton each: no plan state leaks into it."""
+        from repro.core.mpress import MPress
+
+        job = _pressured_job()
+        options = ExecOptions(prefetch_lead=2)
+        plans = [MPress(job).build_plan(), _recompute_plan(job),
+                 empty_plan(job.n_stages)]
+        shared = Lowering(job, options)
+        for plan in plans + plans:
+            assert _program_fields(shared.lower(plan)) == \
+                _program_fields(Lowering(job, options).lower(plan))
+
+    def test_frozen_instructions_match_their_constructor(self):
+        """``freeze_draft`` fills the instance dict directly; the result
+        equals the dataclass constructor's, key order included."""
+        from repro.core.mpress import MPress
+
+        job = _pressured_job()
+        program = Lowering(job, ExecOptions()).lower(MPress(job).build_plan())
+        assert len(program.counts_by_type()) >= 4
+        for instr in program.instructions:
+            rebuilt = type(instr)(**vars(instr))
+            assert rebuilt == instr
+            assert hash(rebuilt) == hash(instr)
+            assert list(vars(rebuilt).items()) == list(vars(instr).items())
+
+    def test_freeze_draft_rejects_unknown_and_missing_fields(self):
+        from repro.sim.ir import SwapOut, _InstructionDraft, freeze_draft
+
+        def draft(**fields):
+            return _InstructionDraft(SwapOut, 0, "x", ("s", 0), "pool", 1.0, 0,
+                                     fields=fields)
+
+        frozen = freeze_draft(draft(size=4, tag="t"))   # out of order, tier defaulted
+        assert list(vars(frozen).items()) == list(vars(SwapOut(
+            iid=0, name="x", stream=("s", 0), stream_mode="pool", duration=1.0,
+            device=0, tag="t", size=4)).items())
+        with pytest.raises(TypeError, match="size"):
+            freeze_draft(draft(tag="t"))
+        with pytest.raises(TypeError, match="bogus"):
+            freeze_draft(draft(tag="t", size=4, bogus=1))
+
+
 class TestFacadeEquivalence:
     def test_simulate_matches_manual_lowering(self):
         job = tiny_job()

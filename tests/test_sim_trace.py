@@ -1,6 +1,6 @@
 """Trace recording and timeline rendering tests."""
 
-from repro.sim.trace import Trace, TraceEvent
+from repro.sim.trace import CounterSample, Trace, TraceEvent
 
 
 def _event(name="t", kind="fwd", device=0, mb=0, start=0.0, end=1.0, layer=-1):
@@ -60,3 +60,17 @@ def test_render_timeline_marks_microbatches():
 
 def test_render_empty_trace():
     assert Trace().render_timeline() == "(empty trace)"
+
+
+def test_trace_rows_are_named_tuples_with_fixed_fields():
+    """Rows keep their field names, order and defaults: trace digests
+    and chrome export read them by name."""
+    assert TraceEvent._fields == ("name", "kind", "device", "microbatch",
+                                  "start", "end", "layer")
+    assert TraceEvent._field_defaults == {"layer": -1}
+    assert CounterSample._fields == ("device", "time", "bytes_in_use")
+    event = TraceEvent("f", "fwd", 0, 1, 0.5, 2.0)
+    assert event.layer == -1 and event.duration == 1.5
+    assert event == _event(name="f", mb=1, start=0.5, end=2.0)
+    sample = CounterSample(device=1, time=0.0, bytes_in_use=64)
+    assert (sample.device, sample.time, sample.bytes_in_use) == (1, 0.0, 64)
